@@ -100,6 +100,10 @@ type runtime struct {
 	arena  *vector.Arena
 	morsel int
 	spec   exec.SpecMode
+	// light marks a traced run without CollectStats: fragments count only
+	// order-independent events (exec.FragStats.Light) and keep the
+	// execution paths of untraced runs.
+	light bool
 }
 
 type step interface {
@@ -133,7 +137,7 @@ func (s *fragStep) run(rt *runtime) error {
 		rt.stats.Frags = append(rt.stats.Frags, exec.FragStats{
 			Name: s.f.Name, Extent: s.f.Extent, Intent: s.f.Intent,
 			Sequential: s.f.Sequential(), LocalBytes: int64(s.f.Locals) * 8,
-			StaticIntOps: si, StaticFloatOps: sf,
+			StaticIntOps: si, StaticFloatOps: sf, Light: rt.light,
 		})
 		fs = &rt.stats.Frags[len(rt.stats.Frags)-1]
 	}
@@ -253,8 +257,9 @@ func (p *Plan) RunWith(ctx context.Context, ro RunOpts) (*Result, error) {
 // RunTracedContext is RunContext with per-step tracing: each plan step is
 // timed and annotated with its fragment provenance and measured work
 // (items, materialized bytes, fold runs, scatter items). The returned
-// trace is owned by the caller; tracing forces stats collection for this
-// run regardless of CollectStats.
+// trace is owned by the caller. Tracing collects the order-independent
+// counts a trace reports even without CollectStats, and leaves every
+// fragment on the execution path an untraced run takes.
 func (p *Plan) RunTracedContext(ctx context.Context) (*Result, *trace.Trace, error) {
 	return p.RunTracedWith(ctx, RunOpts{Limits: p.Limits, CollectStats: p.CollectStats})
 }
@@ -318,6 +323,7 @@ func (p *Plan) run(ctx context.Context, tr *trace.Trace, ro RunOpts) (_ *Result,
 	res := &Result{Values: map[core.Ref]*vector.Vector{}, arena: arena}
 	if ro.CollectStats || tr != nil {
 		rt.stats = &res.Stats
+		rt.light = !ro.CollectStats
 	}
 	for _, s := range p.steps {
 		if err := ctx.Err(); err != nil {
@@ -387,7 +393,7 @@ func (p *Plan) traceStep(s step, frags []exec.FragStats, wall time.Duration) tra
 			ts.Workers = fs.Workers
 			ts.Morsels = int64(fs.Morsels)
 			ts.Imbalance = fs.Imbalance
-			ts.Specialized = fs.Specialized
+			ts.Specialized, ts.Fallback = fs.Specialized, fs.Fallback
 			ts.Items = fs.Items
 			ts.MaterializedBytes = fs.StoreBytes
 			ts.IntOps, ts.FloatOps = fs.IntOps, fs.FloatOps

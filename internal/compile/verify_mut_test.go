@@ -163,6 +163,23 @@ func floatDefs(f *kernel.Fragment) map[kernel.Reg]bool {
 	return defs
 }
 
+// readsBeforeDef reports whether body reads integer register r before
+// defining it — a loop-carried read.
+func readsBeforeDef(body []kernel.Instr, r kernel.Reg) bool {
+	for _, in := range body {
+		us, n := in.Uses()
+		for _, u := range us[:n] {
+			if u.R == r && !u.Float {
+				return true
+			}
+		}
+		if d, flt, ok := in.Def(); ok && d == r && !flt {
+			return false
+		}
+	}
+	return false
+}
+
 func hasRule(ds []verify.Diagnostic, rule string) bool {
 	for _, d := range ds {
 		if d.Rule == rule {
@@ -219,6 +236,22 @@ func mutations() []mutation {
 					in.Float = true
 					return true
 				})
+			}},
+		{"drop-carry-init", verify.RuleCarriedInit, sel,
+			func(p *Plan) bool {
+				// Retarget the Pre definition of the select's cursor, so
+				// the loop's first read of it sees the previous work
+				// item's leftovers.
+				for _, f := range p.kern.Frags {
+					for i, in := range f.Pre {
+						r, _, ok := in.Def()
+						if ok && len(f.Loops) > 0 && readsBeforeDef(f.Loops[0].Body, r) {
+							f.Pre[i].Dst = 200
+							return true
+						}
+					}
+				}
+				return false
 			}},
 		{"buffer-out-of-range", verify.RuleBufRange, sel,
 			func(p *Plan) bool {

@@ -31,13 +31,16 @@ var diffPool = vector.NewPool(0)
 // full} with pathological morsel sizes — the interpreter is the
 // specialization layer's oracle, so results must stay bit-identical on
 // every (path, granularity) pair, or a batch primitive or fused fast
-// path diverged from per-element semantics.
+// path diverged from per-element semantics. It runs the whole cross
+// twice: a fragment smaller than one batch interprets its first run and
+// runs compiled from its second, and both tiers must agree.
 var configs = []struct {
 	name    string
 	opt     compile.Options
 	pooled  bool
 	morsels []int           // when set, the plan runs once per morsel size
 	specs   []exec.SpecMode // when set, crossed with morsels (default: Auto)
+	twice   bool            // run the morsel × spec cross twice
 }{
 	{name: "compiled", opt: compile.Options{}},
 	{name: "predicated", opt: compile.Options{Predication: true}},
@@ -46,7 +49,7 @@ var configs = []struct {
 	{name: "pooled", opt: compile.Options{}, pooled: true},
 	{name: "morsel-sweep", opt: compile.Options{Workers: 4}, morsels: []int{1, 7, 1024, 0}},
 	{name: "specialize-sweep", opt: compile.Options{Workers: 4}, morsels: []int{1, 7, 0},
-		specs: []exec.SpecMode{exec.SpecializeOff, exec.SpecializeBatchOnly, exec.SpecializeAuto}},
+		specs: []exec.SpecMode{exec.SpecializeOff, exec.SpecializeBatchOnly, exec.SpecializeAuto}, twice: true},
 }
 
 // runPlan executes a compiled plan under the config's memory regime and
@@ -126,30 +129,36 @@ func TestInterpVsCompiled(t *testing.T) {
 				reported++
 				continue
 			}
-			for _, morsel := range morsels {
-				for _, spec := range specs {
-					cres, release, rerr := runPlan(ctx, plan, cfg.pooled, morsel, spec)
-					if rerr != nil {
-						t.Errorf("seed %d %s (morsel=%d spec=%d): run failed: %v\nprogram:\n%s", seed, cfg.name, morsel, spec, rerr, p.Prog)
-						reported++
-						continue
-					}
-					for _, ref := range roots {
-						iv, cv := ires.Value(ref), cres.Values[ref]
-						if cv == nil {
-							t.Errorf("seed %d %s (morsel=%d spec=%d): root v%d missing from compiled result\nprogram:\n%s",
-								seed, cfg.name, morsel, spec, ref, p.Prog)
+			reps := 1
+			if cfg.twice {
+				reps = 2
+			}
+			for rep := 0; rep < reps; rep++ {
+				for _, morsel := range morsels {
+					for _, spec := range specs {
+						cres, release, rerr := runPlan(ctx, plan, cfg.pooled, morsel, spec)
+						if rerr != nil {
+							t.Errorf("seed %d %s (morsel=%d spec=%d): run failed: %v\nprogram:\n%s", seed, cfg.name, morsel, spec, rerr, p.Prog)
 							reported++
-							break
+							continue
 						}
-						if !iv.Equal(cv) {
-							t.Errorf("seed %d %s (morsel=%d spec=%d): root v%d diverges\nprogram:\n%s\ninterp:\n%s\ncompiled:\n%s",
-								seed, cfg.name, morsel, spec, ref, p.Prog, iv, cv)
-							reported++
-							break
+						for _, ref := range roots {
+							iv, cv := ires.Value(ref), cres.Values[ref]
+							if cv == nil {
+								t.Errorf("seed %d %s (morsel=%d spec=%d): root v%d missing from compiled result\nprogram:\n%s",
+									seed, cfg.name, morsel, spec, ref, p.Prog)
+								reported++
+								break
+							}
+							if !iv.Equal(cv) {
+								t.Errorf("seed %d %s (morsel=%d spec=%d): root v%d diverges\nprogram:\n%s\ninterp:\n%s\ncompiled:\n%s",
+									seed, cfg.name, morsel, spec, ref, p.Prog, iv, cv)
+								reported++
+								break
+							}
 						}
+						release()
 					}
-					release()
 				}
 			}
 		}

@@ -319,8 +319,20 @@ type FragStats struct {
 
 	// Specialized records the execution path this run took ("fused",
 	// "batch" or "interp"); set by RunFragmentPar, not merged from
-	// workers.
+	// workers. Fallback says why an "interp" run was interpreted: a
+	// verify.BatchFacts reason, or "counted", "fault-injection", "off" or
+	// "first-run" (see resolveSpec).
 	Specialized string
+	Fallback    string
+
+	// Light, set by the caller before the run, limits counting to what
+	// does not depend on execution order — wall time, path, items,
+	// materialized bytes, ALU, guard and sequential-byte counts — which is
+	// all a trace reports. A light run may take any execution path; a
+	// full run (the device cost models) needs exact counts, including the
+	// Near/Rand classification, and interprets fragments whose batch
+	// counts would not be exact.
+	Light bool
 
 	Items int64 // loop iterations executed
 	// StoreBytes counts bytes written to global buffers — the
@@ -489,9 +501,9 @@ func RunFragmentPar(ctx context.Context, f *kernel.Fragment, env *Env, par Par, 
 	}
 	par = par.norm()
 	nregs := maxReg(f) + 1
-	spec, path := resolveSpec(f, par.Spec, fs != nil, faultinject.Enabled())
+	spec, path, fallback := resolveSpec(f, par.Spec, fs != nil && !fs.Light, faultinject.Enabled())
 	if fs != nil {
-		fs.Specialized = path
+		fs.Specialized, fs.Fallback = path, fallback
 	}
 	if f.Sequential() || par.Workers == 1 {
 		w := newWorker(ctx, f, env, nregs, fs != nil, nil, spec)
@@ -562,8 +574,11 @@ type worker struct {
 	locI    []int64
 	locF    []float64
 	scratch *scratch
-	count   bool
-	stats   FragStats
+	// count accumulates stats; classify adds the order-dependent Near/Rand
+	// classification of random accesses (full, non-light counting).
+	count    bool
+	classify bool
+	stats    FragStats
 	// batch/fused select the specialized execution path for this run (both
 	// nil = interpret); bst is the batch register-column state.
 	batch *batchProg
@@ -627,12 +642,14 @@ type scratch struct {
 	rf   []float64
 	locI []int64
 	locF []float64
-	// Batch-primitive state: register-column slabs, the selection mask and
-	// the per-register column tables. Slabs are not zeroed on reuse — the
-	// batch compiler proves def-before-use (see specialize.go).
+	// Batch-primitive state: register-column slabs, the selection mask,
+	// the per-lane guard levels and the per-register column tables. Slabs
+	// are not zeroed on reuse — the batch compiler proves def-before-use
+	// (see specialize.go).
 	bcols  []int64
 	bfcols []float64
 	bsel   []int32
+	blvl   []int32
 	bri    [][]int64
 	brf    [][]float64
 }
@@ -689,7 +706,8 @@ func (w *worker) release() {
 func newWorker(ctx context.Context, f *kernel.Fragment, env *Env, nregs kernel.Reg, count bool, stop *atomic.Bool, spec specAssign) *worker {
 	sc := scratchPool.Get().(*scratch)
 	w := &worker{f: f, env: env, scratch: sc,
-		ri: sc.intSlice(&sc.ri, int(nregs)), rf: sc.floatSlice(&sc.rf, int(nregs)), count: count,
+		ri: sc.intSlice(&sc.ri, int(nregs)), rf: sc.floatSlice(&sc.rf, int(nregs)),
+		count: count, classify: spec.classify,
 		stop: stop, batch: spec.batch, fused: spec.fused}
 	if ctx.Done() != nil {
 		w.ctx = ctx
@@ -764,11 +782,7 @@ func (w *worker) runInterp(lo, hi int) error {
 				return err
 			}
 		}
-		w.ri[kernel.RegGID] = int64(gid)
-		if f.Locals > 0 {
-			w.resetLocals()
-		}
-		if err := w.exec(f.Pre); err != nil {
+		if err := w.beginItem(gid); err != nil {
 			return err
 		}
 		for _, loop := range f.Loops {
@@ -806,15 +820,35 @@ func (w *worker) runInterp(lo, hi int) error {
 				}
 			}
 		}
-		if err := w.exec(f.Post); err != nil {
+		if err := w.endItem(); err != nil {
 			return err
 		}
-		if len(f.PostLoopBody) > 0 {
-			for j := 0; j < f.Locals; j++ {
-				w.ri[kernel.RegJ] = int64(j)
-				if err := w.exec(f.PostLoopBody); err != nil {
-					return err
-				}
+	}
+	return nil
+}
+
+// beginItem starts work item gid on the scalar register file: RegGID,
+// fresh locals, then Pre.
+func (w *worker) beginItem(gid int) error {
+	w.ri[kernel.RegGID] = int64(gid)
+	if w.f.Locals > 0 {
+		w.resetLocals()
+	}
+	return w.exec(w.f.Pre)
+}
+
+// endItem finishes the current work item: Post, then the post-loop body
+// once per scratch slot.
+func (w *worker) endItem() error {
+	f := w.f
+	if err := w.exec(f.Post); err != nil {
+		return err
+	}
+	if len(f.PostLoopBody) > 0 {
+		for j := 0; j < f.Locals; j++ {
+			w.ri[kernel.RegJ] = int64(j)
+			if err := w.exec(f.PostLoopBody); err != nil {
+				return err
 			}
 		}
 	}
@@ -997,6 +1031,9 @@ func (w *worker) countAccess(in kernel.Instr, buf *Buffer) {
 	}
 	if in.Seq {
 		w.stats.SeqBytes += width
+		return
+	}
+	if !w.classify {
 		return
 	}
 	idx := w.ri[in.A]

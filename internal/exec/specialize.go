@@ -6,11 +6,16 @@
 // file compiles each fragment once (cached on the *kernel.Fragment,
 // concurrency-safe) into one of two faster forms:
 //
-//   - batch primitives: one tight Go loop per instruction over a
-//     morsel-sized batch of register columns. Dispatch cost drops to
-//     O(batches × instrs); the loops are bounds-check-friendly and
-//     auto-vectorizable. IGuard is handled by compacting a selection mask,
-//     so predication never branches on data inside a primitive.
+//   - batch primitives: one tight Go loop per instruction over a batch of
+//     up to 1024 lanes held in register columns, where a lane is one loop
+//     iteration. Dispatch cost drops to O(batches × instrs); the loops are
+//     bounds-check-friendly and auto-vectorizable. IGuard is handled by
+//     compacting a selection mask, so predication never branches on data
+//     inside a primitive. Loop-carried state — folds, position cursors,
+//     grouped scratch arrays — lives in the carried slice
+//     (verify.BatchFacts), which runs after the primitives lane by lane in
+//     index order through the interpreter, together with Pre, Post and
+//     the post-loop body at work-item boundaries.
 //   - fused fast paths: single hand-fused closures for the hottest shapes
 //     mined from TPC-H traces — load→compare→guard→store selection,
 //     load→arith→store maps, and the FoldSum/FoldMin/FoldMax accumulate
@@ -23,23 +28,28 @@
 // Contracts preserved exactly: cancellation checkpoints each ~1024 items
 // (tickN retires a batch's budget at once), governor Limits, panics →
 // *PanicError with cross-worker abort, arena ownership, and bit-identical
-// results at any morsel size and worker count (def-before-use analysis
-// rejects fragments whose registers carry values across work items, and
-// a single-store-per-buffer rule rejects load/store interleaving hazards).
+// results and errors at any morsel size and worker count. Lane
+// instructions see only their own lane's registers, so running them
+// instruction-major cannot change a value; no fragment both loads and
+// stores a buffer, so the order of its memory accesses cannot either. An
+// error inside a batch replays the batch's work items on the interpreter,
+// which reports the error element-major order would have met first.
 //
 // Measurement fidelity: the interpreter's Near/Rand access classification
 // is execution-order-sensitive (an 8-line LRU per buffer), and batch
 // execution visits memory instruction-major instead of element-major. A
-// specialized path is therefore only used for a *counted* run when every
-// memory access it compiles is sequential, where the counts are
+// specialized path is therefore only used for a fully counted run when
+// every memory access it compiles is sequential, where the counts are
 // order-independent; otherwise counted runs fall back to the interpreter
-// so simulated device times never drift. Fault-injection hooks replay
+// so simulated device times never drift. Light runs (traces) count only
+// order-independent events and take any path. Fault-injection hooks replay
 // per-item state the compiled paths do not model, so any enabled hook also
 // forces the interpreter.
 package exec
 
 import (
 	"fmt"
+	"math"
 	"sync/atomic"
 
 	"voodoo/internal/kernel"
@@ -74,15 +84,33 @@ var specDefaultOff atomic.Bool
 // Explicit per-run modes are unaffected.
 func SetSpecializeDefault(on bool) { specDefaultOff.Store(!on) }
 
+// Reasons a fragment run interprets besides a verify.BatchFacts reason.
+const (
+	FallbackOff      = "off"             // SpecializeOff
+	FallbackFaults   = "fault-injection" // a fault-injection hook is enabled
+	FallbackCounted  = "counted"         // a full counted run of a fragment with inexact batch counts
+	FallbackFirstRun = "first-run"       // the first run of a split fragment smaller than one batch
+)
+
 // Specialization observability: every fragment execution counts the path
-// it actually took. All three series are pre-created so they exist at
-// zero.
+// it actually took, and every interpreted one why. All series are
+// pre-created so they exist at zero.
 var (
 	specializedVec = metrics.NewCounterVec("voodoo_fragments_specialized_total",
 		"Fragment executions by execution path: fused closure, batch primitives, or the per-element interpreter.", "path")
 	specFusedC  = specializedVec.With("fused")
 	specBatchC  = specializedVec.With("batch")
 	specInterpC = specializedVec.With("interp")
+
+	interpretedVec = metrics.NewCounterVec("voodoo_fragments_interpreted_total",
+		"Fragment executions on the per-element interpreter, by the reason the batch path was not taken.", "reason")
+	interpretedC = func() map[string]*metrics.Counter {
+		m := map[string]*metrics.Counter{}
+		for _, r := range append([]string{FallbackOff, FallbackFaults, FallbackCounted, FallbackFirstRun}, verify.Reasons...) {
+			m[r] = interpretedVec.With(r)
+		}
+		return m
+	}()
 )
 
 // specBatchN is the lane count of one register-column batch. It equals
@@ -93,13 +121,18 @@ const specBatchN = checkInterval
 // specProgram is the cached compilation of one fragment, stored on the
 // Fragment via kernel.StoreSpec.
 type specProgram struct {
-	batch *batchProg  // nil when the fragment is not batch-eligible
-	fused fusedRunner // nil when no fused shape matched
+	batch  *batchProg  // nil when the fragment is not batch-eligible
+	reason string      // why batch is nil (a verify.BatchFacts reason)
+	fused  fusedRunner // nil when no fused shape matched
 	// fusedCountable / batch.countable report whether the path's event
 	// counts are exact (all accesses sequential); counted runs of
 	// non-countable fragments use the interpreter.
 	fusedCountable bool
 }
+
+// firstRun marks a fragment smaller than one batch that has run once
+// without being compiled (see resolveSpec).
+var firstRun = &specProgram{}
 
 // fusedRunner executes work items [lo, hi) of a fragment as a single
 // hand-fused loop.
@@ -111,40 +144,101 @@ type fusedRunner func(w *worker, lo, hi int) error
 type specAssign struct {
 	batch *batchProg
 	fused fusedRunner
+	// classify enables the order-dependent Near/Rand classification of a
+	// full counted run.
+	classify bool
 }
 
 // specFor returns the fragment's cached specialization, compiling it on
 // first use. Racing first executions compile redundantly but store
 // identical content.
 func specFor(f *kernel.Fragment) *specProgram {
-	if v := f.LoadSpec(); v != nil {
+	if v := f.LoadSpec(); v != nil && v.(*specProgram) != firstRun {
 		return v.(*specProgram)
 	}
-	sp := &specProgram{batch: compileBatch(f)}
+	sp := &specProgram{}
+	sp.batch, sp.reason = compileBatch(f)
 	sp.fused, sp.fusedCountable = matchFused(f)
 	f.StoreSpec(sp)
 	return sp
 }
 
-// resolveSpec picks the execution path for one fragment run and counts it.
-// counting reports whether this run accumulates FragStats (which demands
-// exact event counts from the chosen path).
-func resolveSpec(f *kernel.Fragment, mode SpecMode, counting, faults bool) (specAssign, string) {
-	if mode == SpecializeOff || faults {
+// laneCount is the number of loop iterations a fragment runs at most.
+func laneCount(f *kernel.Fragment) int {
+	n := max(f.Extent, 1) * max(f.Intent, 1)
+	if f.N > 0 && f.N < n {
+		n = f.N
+	}
+	return n
+}
+
+// seqOnly reports whether every memory access of f is sequential — the
+// condition for any compiled form to count events exactly.
+func seqOnly(f *kernel.Fragment) bool {
+	seq := func(instrs []kernel.Instr) bool {
+		for _, in := range instrs {
+			switch in.Op {
+			case kernel.ILoad, kernel.ILoadValid, kernel.IStore:
+				if !in.Seq {
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if !seq(f.Pre) || !seq(f.Post) || !seq(f.PostLoopBody) {
+		return false
+	}
+	for _, l := range f.Loops {
+		if !seq(l.Body) {
+			return false
+		}
+	}
+	return true
+}
+
+// resolveSpec picks the execution path for one fragment run and counts it,
+// returning the path and, for an interpreted run, the reason. counting
+// reports a full counted run, which demands exact event counts from the
+// chosen path.
+//
+// A fragment that needs the split form (a prologue, epilogue, scratch
+// array or multi-iteration loop; see flatLane) but has fewer lanes than
+// one batch interprets its first run and compiles on its second: a plan
+// that runs once (an ad-hoc statement missing the plan cache) never pays
+// the analysis, while a cached plan pays it on its second run.
+func resolveSpec(f *kernel.Fragment, mode SpecMode, counting, faults bool) (specAssign, string, string) {
+	interp := func(reason string) (specAssign, string, string) {
 		specInterpC.Inc()
-		return specAssign{}, "interp"
+		interpretedC[reason].Inc()
+		return specAssign{classify: counting}, "interp", reason
+	}
+	cached := f.LoadSpec()
+	switch {
+	case mode == SpecializeOff:
+		return interp(FallbackOff)
+	case faults:
+		return interp(FallbackFaults)
+	case cached == nil && laneCount(f) < specBatchN && !flatLane(f):
+		f.StoreSpec(firstRun)
+		return interp(FallbackFirstRun)
+	case counting && (cached == nil || cached == any(firstRun)) && !seqOnly(f):
+		// No compiled form could count exactly; skip compiling one.
+		return interp(FallbackCounted)
 	}
 	sp := specFor(f)
 	if sp.fused != nil && mode != SpecializeBatchOnly && (!counting || sp.fusedCountable) {
 		specFusedC.Inc()
-		return specAssign{fused: sp.fused}, "fused"
+		return specAssign{fused: sp.fused, classify: counting}, "fused", ""
 	}
-	if sp.batch != nil && (!counting || sp.batch.countable) {
-		specBatchC.Inc()
-		return specAssign{batch: sp.batch}, "batch"
+	if sp.batch == nil {
+		return interp(sp.reason)
 	}
-	specInterpC.Inc()
-	return specAssign{}, "interp"
+	if counting && !sp.batch.countable {
+		return interp(FallbackCounted)
+	}
+	specBatchC.Inc()
+	return specAssign{batch: sp.batch, classify: counting}, "batch", ""
 }
 
 // ---------------------------------------------------------------------------
@@ -154,29 +248,49 @@ func resolveSpec(f *kernel.Fragment, mode SpecMode, counting, faults bool) (spec
 type batchPrim func(w *worker, b *bstate) error
 
 // batchProg is a fragment compiled to batch primitives: one primitive
-// sequence (segment) per loop, executed over batches of up to specBatchN
-// consecutive work items.
+// sequence (segment) per loop for the lane side, plus the carried slice.
 type batchProg struct {
 	segs [][]batchPrim
-	// intRegs/fltRegs are the registers needing a column in each file;
-	// nregs bounds both index spaces.
-	intRegs []kernel.Reg
-	fltRegs []kernel.Reg
-	nregs   int
+	// span is the number of lanes per work item: the intent, or 1 when
+	// every loop runs once per work item with idx == gid. width is the
+	// column length: one batch, or fewer when the fragment has fewer
+	// lanes.
+	span, width int
+	// colI/colF give each register's column in the int and float slabs
+	// (-1: none; registers with disjoint live ranges share one), and
+	// nColI/nColF the slab widths in columns.
+	colI, colF   []int32
+	nColI, nColF int
 	// countable marks every compiled memory access sequential, making the
 	// batch's event counts exact (see the package comment).
 	countable bool
+
+	// split marks a carried phase. carried is the carried slice in body
+	// order; a lane that passed g lane guards runs carried[:prefix[g]].
+	// guards is the number of lane guards (lanes passing all of them have
+	// level guards). importI/importF are the lane registers the slice
+	// reads.
+	split            bool
+	carried          []kernel.Instr
+	prefix           []int
+	guards           int
+	importI, importF []kernel.Reg
 }
 
 // bstate is a worker's per-batch register-column state. Columns live in
 // the worker's pooled scratch; sel == nil means all n lanes are active,
-// otherwise sel lists active lane offsets in ascending order.
+// otherwise sel lists active lane offsets in ascending order. lvl holds
+// the number of lane guards each lane passed (maintained for split
+// programs). item is the work item whose carried state is open (-1:
+// none).
 type bstate struct {
 	n      int
 	sel    []int32
 	selBuf []int32
+	lvl    []int32
 	ri     [][]int64
 	rf     [][]float64
+	item   int
 }
 
 // active returns the live lane count of the batch.
@@ -188,38 +302,149 @@ func (b *bstate) active() int {
 }
 
 // compileBatch translates the fragment into batch primitives, or returns
-// nil when it is not eligible. Eligibility is decided entirely by the
-// verifier's fragment facts (verify.BatchFacts) — the single source of
-// truth for def-before-use, store/load disjointness and loop-shape rules —
-// so the specializer only translates instructions; it no longer re-derives
-// the analysis. Eligibility is conservative: every rejected fragment
-// simply interprets.
-func compileBatch(f *kernel.Fragment) *batchProg {
+// nil and the reason when it is not eligible. Eligibility and the
+// lane/carried split are decided entirely by the verifier's fragment facts
+// (verify.BatchFacts), so the specializer only translates instructions.
+func compileBatch(f *kernel.Fragment) (*batchProg, string) {
 	facts := verify.BatchFacts(f)
 	if !facts.BatchEligible {
-		return nil
+		return nil, facts.Reason
 	}
 	bp := &batchProg{
+		span:      f.Intent,
+		width:     min(specBatchN, laneCount(f)),
 		countable: facts.Countable,
-		intRegs:   facts.IntRegs,
-		fltRegs:   facts.FltRegs,
-		nregs:     facts.NRegs,
+		split:     facts.Split,
+		guards:    facts.LaneGuards,
+		importI:   facts.ImportI,
+		importF:   facts.ImportF,
 	}
-	for _, l := range f.Loops {
+	if facts.PerItem {
+		bp.span = 1
+	}
+	carried := make([]bool, len(f.Loops[0].Body))
+	for _, i := range facts.Carried {
+		carried[i] = true
+		bp.carried = append(bp.carried, f.Loops[0].Body[i])
+	}
+	bp.colI, bp.colF, bp.nColI, bp.nColF = assignColumns(f, carried, facts)
+	bp.prefix = make([]int, bp.guards+1)
+	for g := range bp.prefix {
+		for _, lv := range facts.Level {
+			if lv <= g {
+				bp.prefix[g]++
+			}
+		}
+	}
+	for li, l := range f.Loops {
 		var seg []batchPrim
-		for _, in := range l.Body {
-			p := compilePrim(in)
+		g := 0
+		for i, in := range l.Body {
+			if li == 0 && carried[i] {
+				continue
+			}
+			var p batchPrim
+			if in.Op == kernel.IGuard {
+				p = primGuard(in, int32(g))
+				g++
+			} else {
+				p = compilePrim(in)
+			}
 			if p == nil {
-				// Unreachable for fact-eligible fragments (the whitelist
-				// matches compilePrim's coverage); kept as a belt against
-				// the two drifting apart.
-				return nil
+				// Unreachable for fact-eligible fragments (the lane side
+				// never holds scratch accesses); kept as a belt against the
+				// two drifting apart.
+				return nil, verify.ReasonOpcode
 			}
 			seg = append(seg, p)
 		}
 		bp.segs = append(bp.segs, seg)
 	}
-	return bp
+	return bp, ""
+}
+
+// assignColumns gives every lane register a column of its file, sharing
+// columns between registers whose live ranges — first definition to last
+// use, in lane-side order over all loops — do not overlap. Imports stay
+// live to the end of the batch, when the carried phase reads them. A
+// column is released only after the instruction that last reads it has
+// its own result column, so no primitive writes a column it is reading.
+func assignColumns(f *kernel.Fragment, carried []bool, facts verify.Facts) (colI, colF []int32, nI, nF int) {
+	n := facts.NRegs
+	key := func(r kernel.Reg, flt bool) int {
+		if flt {
+			return n + int(r)
+		}
+		return int(r)
+	}
+	lane := func(yield func(int32, kernel.Instr)) {
+		pos := int32(0)
+		for li, l := range f.Loops {
+			for i, in := range l.Body {
+				if li == 0 && carried[i] {
+					continue
+				}
+				yield(pos, in)
+				pos++
+			}
+		}
+	}
+	last := make([]int32, 2*n)
+	lane(func(pos int32, in kernel.Instr) {
+		us, k := in.Uses()
+		for _, u := range us[:k] {
+			last[key(u.R, u.Float)] = pos
+		}
+		if r, flt, ok := in.Def(); ok {
+			last[key(r, flt)] = max(last[key(r, flt)], pos)
+		}
+	})
+	for _, r := range facts.ImportI {
+		last[key(r, false)] = math.MaxInt32
+	}
+	for _, r := range facts.ImportF {
+		last[key(r, true)] = math.MaxInt32
+	}
+	cols := make([]int32, 2*n)
+	for i := range cols {
+		cols[i] = -1
+	}
+	// The specials are written up front and read anywhere.
+	cols[kernel.RegGID], cols[kernel.RegIV], cols[kernel.RegIdx] = 0, 1, 2
+	count := [2]int{3, 0}
+	var free [2][]int32
+	file := func(flt bool) int {
+		if flt {
+			return 1
+		}
+		return 0
+	}
+	lane(func(pos int32, in kernel.Instr) {
+		r, flt, def := in.Def()
+		if k := key(r, flt); def && cols[k] < 0 {
+			fi := file(flt)
+			if m := len(free[fi]); m > 0 {
+				cols[k], free[fi] = free[fi][m-1], free[fi][:m-1]
+			} else {
+				cols[k] = int32(count[fi])
+				count[fi]++
+			}
+		}
+		release := func(r kernel.Reg, flt bool) {
+			if k := key(r, flt); r >= kernel.FirstFree && last[k] == pos {
+				free[file(flt)] = append(free[file(flt)], cols[k])
+				last[k] = -1
+			}
+		}
+		us, k := in.Uses()
+		for _, u := range us[:k] {
+			release(u.R, u.Float)
+		}
+		if def {
+			release(r, flt)
+		}
+	})
+	return cols[:n], cols[n:], count[0], count[1]
 }
 
 // attachBatch wires the worker's pooled scratch up as register columns for
@@ -227,26 +452,34 @@ func compileBatch(f *kernel.Fragment) *batchProg {
 // by a definition in the same segment.
 func (w *worker) attachBatch(bp *batchProg) {
 	sc := w.scratch
-	ints := grow(&sc.bcols, len(bp.intRegs)*specBatchN)
-	flts := grow(&sc.bfcols, len(bp.fltRegs)*specBatchN)
-	if cap(sc.bri) < bp.nregs {
-		sc.bri = make([][]int64, bp.nregs)
-		sc.brf = make([][]float64, bp.nregs)
+	wd, nregs := bp.width, len(bp.colI)
+	ints := grow(&sc.bcols, bp.nColI*wd)
+	flts := grow(&sc.bfcols, bp.nColF*wd)
+	if cap(sc.bri) < nregs {
+		sc.bri = make([][]int64, nregs)
+		sc.brf = make([][]float64, nregs)
 	}
-	sc.bri = sc.bri[:bp.nregs]
-	sc.brf = sc.brf[:bp.nregs]
+	sc.bri = sc.bri[:nregs]
+	sc.brf = sc.brf[:nregs]
 	clear(sc.bri)
 	clear(sc.brf)
-	for i, r := range bp.intRegs {
-		sc.bri[r] = ints[i*specBatchN : (i+1)*specBatchN]
+	for r, c := range bp.colI {
+		if c >= 0 {
+			sc.bri[r] = ints[int(c)*wd : int(c+1)*wd]
+		}
 	}
-	for i, r := range bp.fltRegs {
-		sc.brf[r] = flts[i*specBatchN : (i+1)*specBatchN]
+	for r, c := range bp.colF {
+		if c >= 0 {
+			sc.brf[r] = flts[int(c)*wd : int(c+1)*wd]
+		}
 	}
-	if cap(sc.bsel) < specBatchN {
-		sc.bsel = make([]int32, specBatchN)
+	if cap(sc.bsel) < wd {
+		sc.bsel = make([]int32, wd)
 	}
-	w.bst = bstate{ri: sc.bri, rf: sc.brf, selBuf: sc.bsel[:0]}
+	if cap(sc.blvl) < wd {
+		sc.blvl = make([]int32, wd)
+	}
+	w.bst = bstate{ri: sc.bri, rf: sc.brf, selBuf: sc.bsel[:0], lvl: sc.blvl[:cap(sc.blvl)], item: -1}
 }
 
 // tickN retires n items' worth of checkpoint budget at once — the batch
@@ -270,52 +503,150 @@ func (w *worker) tickN(n int) error {
 	return nil
 }
 
-// runBatch executes work items [lo, hi) through the batch primitives.
+// runBatch executes work items [lo, hi) through the batch primitives: the
+// lanes idx ∈ [lo·span, min(hi·span, N)) in batches of bp.width.
 func (w *worker) runBatch(lo, hi int) error {
 	bp := w.batch
-	b := &w.bst
 	f := w.f
-	if f.N > 0 && hi > f.N {
-		// Lanes with idx >= N skip their (single) loop iteration, and
-		// eligible fragments have no prologue or epilogue, so the whole
-		// lane is a no-op.
-		hi = f.N
+	first, end := lo*bp.span, hi*bp.span
+	if f.N > 0 && end > f.N {
+		// Lanes with idx >= N skip their iteration.
+		end = f.N
 	}
-	for base := lo; base < hi; base += specBatchN {
-		n := min(specBatchN, hi-base)
+	w.bst.item = -1
+	for base := first; base < end; base += bp.width {
+		n := min(bp.width, end-base)
 		if w.checks {
 			if err := w.tickN(n); err != nil {
 				return err
 			}
 		}
-		gidc, ivc, idxc := b.ri[kernel.RegGID], b.ri[kernel.RegIV], b.ri[kernel.RegIdx]
-		for i := 0; i < n; i++ {
-			g := int64(base + i)
-			gidc[i] = g
-			ivc[i] = 0
-			idxc[i] = g
+		if err := w.runLanes(base, n); err != nil {
+			// Instruction-major order may meet a later lane's error first;
+			// the interpreter re-runs the batch's work items from their
+			// start (Pre re-initializes every carry, and no buffer the
+			// fragment loads is one it stores) and reports the error
+			// element-major order meets first.
+			if rerr := w.runInterp(base/bp.span, (base+n-1)/bp.span+1); rerr != nil {
+				return rerr
+			}
+			return err
 		}
-		b.n = n
-		for _, seg := range bp.segs {
-			b.sel = nil
-			for _, p := range seg {
-				if err := p(w, b); err != nil {
-					return err
-				}
-				if b.sel != nil && len(b.sel) == 0 {
-					break // every lane guarded off: skip the rest of the segment
-				}
+	}
+	if !bp.split {
+		return nil
+	}
+	// Close the open work item, then run the work items whose iterations
+	// all lie at or past N: they have no lanes but still run Pre and Post.
+	if err := w.leaveItem(); err != nil {
+		return err
+	}
+	next := lo
+	if end > first {
+		next = (end-1)/bp.span + 1
+	}
+	for gid := next; gid < hi; gid++ {
+		if w.checks {
+			if err := w.tickN(1); err != nil {
+				return err
 			}
-			if w.count {
-				w.stats.Items += int64(n)
-			}
+		}
+		if err := w.enterItem(gid); err != nil {
+			return err
+		}
+		if err := w.leaveItem(); err != nil {
+			return err
 		}
 	}
 	return nil
 }
 
-// countSeqAccess mirrors the interpreter's countAccess for the sequential
-// accesses the countable batch paths compile, over lanes active lanes.
+// runLanes runs one batch of n lanes starting at global index base: the
+// lane side instruction-major, then the carried slice lane by lane.
+func (w *worker) runLanes(base, n int) error {
+	bp := w.batch
+	b := &w.bst
+	gidc, ivc, idxc := b.ri[kernel.RegGID], b.ri[kernel.RegIV], b.ri[kernel.RegIdx]
+	g, v := base/bp.span, base%bp.span
+	for i := 0; i < n; i++ {
+		gidc[i], ivc[i], idxc[i] = int64(g), int64(v), int64(base+i)
+		if v++; v == bp.span {
+			g, v = g+1, 0
+		}
+	}
+	if bp.split {
+		lvl := b.lvl[:n]
+		for i := range lvl {
+			lvl[i] = int32(bp.guards)
+		}
+	}
+	b.n = n
+	for _, seg := range bp.segs {
+		b.sel = nil
+		for _, p := range seg {
+			if err := p(w, b); err != nil {
+				return err
+			}
+			if b.sel != nil && len(b.sel) == 0 {
+				break // every lane guarded off: skip the rest of the segment
+			}
+		}
+		if w.count {
+			w.stats.Items += int64(n)
+		}
+	}
+	if !bp.split {
+		return nil
+	}
+	ri, rf := w.ri, w.rf
+	for i := 0; i < n; i++ {
+		idx := base + i
+		if gid := idx / bp.span; gid != b.item {
+			if err := w.enterItem(gid); err != nil {
+				return err
+			}
+		}
+		k := bp.prefix[b.lvl[i]]
+		if k == 0 {
+			continue
+		}
+		ri[kernel.RegIV] = int64(idx - b.item*bp.span)
+		ri[kernel.RegIdx] = int64(idx)
+		for _, r := range bp.importI {
+			ri[r] = b.ri[r][i]
+		}
+		for _, r := range bp.importF {
+			rf[r] = b.rf[r][i]
+		}
+		if err := w.exec(bp.carried[:k]); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// enterItem closes the open work item and opens gid.
+func (w *worker) enterItem(gid int) error {
+	if err := w.leaveItem(); err != nil {
+		return err
+	}
+	w.bst.item = gid
+	return w.beginItem(gid)
+}
+
+// leaveItem closes the open work item, if any.
+func (w *worker) leaveItem() error {
+	if w.bst.item < 0 {
+		return nil
+	}
+	w.bst.item = -1
+	return w.endItem()
+}
+
+// countSeqAccess mirrors the interpreter's countAccess for the batch
+// paths, over lanes active lanes. Random accesses count only their
+// materialized bytes: the batch path runs them only for light runs, which
+// leave the order-dependent classification out.
 func (w *worker) countSeqAccess(in kernel.Instr, buf *Buffer, lanes int64) {
 	if !w.count {
 		return
@@ -334,7 +665,47 @@ func (w *worker) countSeqAccess(in kernel.Instr, buf *Buffer, lanes int64) {
 		}
 		width = 1
 	}
-	w.stats.SeqBytes += width * lanes
+	if in.Seq {
+		w.stats.SeqBytes += width * lanes
+	}
+}
+
+// primGuard compiles the g-th lane guard (from 0): it compacts the
+// selection to the lanes whose condition holds, and records that each
+// lane it drops passed g guards, which bounds the carried instructions
+// that lane runs.
+func primGuard(in kernel.Instr, g int32) batchPrim {
+	a := in.A
+	return func(w *worker, b *bstate) error {
+		cond, lvl := b.ri[a], b.lvl
+		if w.count {
+			w.stats.Guards += int64(b.active())
+		}
+		out := b.selBuf[:0]
+		if s := b.sel; s != nil {
+			out = s[:0] // in-place compaction: writes trail reads
+			for _, i := range s {
+				if cond[i] != 0 {
+					out = append(out, i)
+				} else {
+					lvl[i] = g
+				}
+			}
+		} else {
+			for i := 0; i < b.n; i++ {
+				if cond[i] != 0 {
+					out = append(out, int32(i))
+				} else {
+					lvl[i] = g
+				}
+			}
+		}
+		b.sel = out
+		if w.count {
+			w.stats.GuardsPass += int64(len(b.sel))
+		}
+		return nil
+	}
 }
 
 // compilePrim builds the batch primitive for one instruction, or nil when
@@ -454,36 +825,6 @@ func compilePrim(in kernel.Instr) batchPrim {
 		return primLoadValid(in)
 	case kernel.IStore:
 		return primStore(in)
-	case kernel.IGuard:
-		a := in.A
-		return func(w *worker, b *bstate) error {
-			cond := b.ri[a]
-			if w.count {
-				w.stats.Guards += int64(b.active())
-			}
-			if s := b.sel; s != nil {
-				// In-place compaction: writes trail reads.
-				out := s[:0]
-				for _, i := range s {
-					if cond[i] != 0 {
-						out = append(out, i)
-					}
-				}
-				b.sel = out
-			} else {
-				out := b.selBuf[:0]
-				for i := 0; i < b.n; i++ {
-					if cond[i] != 0 {
-						out = append(out, int32(i))
-					}
-				}
-				b.sel = out
-			}
-			if w.count {
-				w.stats.GuardsPass += int64(len(b.sel))
-			}
-			return nil
-		}
 	case kernel.ICastIF:
 		dst, a := in.Dst, in.A
 		return func(_ *worker, b *bstate) error {
@@ -519,136 +860,41 @@ func compilePrim(in kernel.Instr) batchPrim {
 }
 
 // primBinI compiles an integer IBin. The hot arithmetic and comparison
-// operators get dedicated loops (bounds-check-friendly, vectorizable);
-// trapping and rare operators share a per-element loop through ibin so
-// error messages match the interpreter exactly.
+// operators run as small per-operator loops (intBinLoops), each compiled
+// on its own so the loop stays in registers and branch-free; trapping and
+// rare operators share a per-element loop through ibin so error messages
+// match the interpreter exactly.
 func primBinI(in kernel.Instr) batchPrim {
 	op, dr, ar, br := in.BOp, in.Dst, in.A, in.B
+	var loop binLoop[int64]
+	if int(op) < len(intBinLoops) {
+		loop = intBinLoops[op]
+	}
 	return func(w *worker, b *bstate) error {
 		d, x, y := b.ri[dr], b.ri[ar], b.ri[br]
 		if w.count {
 			w.stats.IntOps += int64(b.active())
 		}
-		s := b.sel
-		switch op {
-		case kernel.BAdd:
-			if s != nil {
-				for _, i := range s {
-					d[i] = x[i] + y[i]
+		if loop != nil {
+			loop(d, x, y, b.sel, b.n)
+			return nil
+		}
+		if s := b.sel; s != nil {
+			for _, i := range s {
+				v, err := ibin(op, x[i], y[i])
+				if err != nil {
+					return err
 				}
-			} else {
-				for i := 0; i < b.n; i++ {
-					d[i] = x[i] + y[i]
-				}
+				d[i] = v
 			}
-		case kernel.BSub:
-			if s != nil {
-				for _, i := range s {
-					d[i] = x[i] - y[i]
-				}
-			} else {
-				for i := 0; i < b.n; i++ {
-					d[i] = x[i] - y[i]
-				}
+			return nil
+		}
+		for i := 0; i < b.n; i++ {
+			v, err := ibin(op, x[i], y[i])
+			if err != nil {
+				return err
 			}
-		case kernel.BMul:
-			if s != nil {
-				for _, i := range s {
-					d[i] = x[i] * y[i]
-				}
-			} else {
-				for i := 0; i < b.n; i++ {
-					d[i] = x[i] * y[i]
-				}
-			}
-		case kernel.BGt:
-			if s != nil {
-				for _, i := range s {
-					d[i] = b2i(x[i] > y[i])
-				}
-			} else {
-				for i := 0; i < b.n; i++ {
-					d[i] = b2i(x[i] > y[i])
-				}
-			}
-		case kernel.BGe:
-			if s != nil {
-				for _, i := range s {
-					d[i] = b2i(x[i] >= y[i])
-				}
-			} else {
-				for i := 0; i < b.n; i++ {
-					d[i] = b2i(x[i] >= y[i])
-				}
-			}
-		case kernel.BEq:
-			if s != nil {
-				for _, i := range s {
-					d[i] = b2i(x[i] == y[i])
-				}
-			} else {
-				for i := 0; i < b.n; i++ {
-					d[i] = b2i(x[i] == y[i])
-				}
-			}
-		case kernel.BMin:
-			if s != nil {
-				for _, i := range s {
-					d[i] = min(x[i], y[i])
-				}
-			} else {
-				for i := 0; i < b.n; i++ {
-					d[i] = min(x[i], y[i])
-				}
-			}
-		case kernel.BMax:
-			if s != nil {
-				for _, i := range s {
-					d[i] = max(x[i], y[i])
-				}
-			} else {
-				for i := 0; i < b.n; i++ {
-					d[i] = max(x[i], y[i])
-				}
-			}
-		case kernel.BAnd:
-			if s != nil {
-				for _, i := range s {
-					d[i] = b2i(x[i] != 0 && y[i] != 0)
-				}
-			} else {
-				for i := 0; i < b.n; i++ {
-					d[i] = b2i(x[i] != 0 && y[i] != 0)
-				}
-			}
-		case kernel.BOr:
-			if s != nil {
-				for _, i := range s {
-					d[i] = b2i(x[i] != 0 || y[i] != 0)
-				}
-			} else {
-				for i := 0; i < b.n; i++ {
-					d[i] = b2i(x[i] != 0 || y[i] != 0)
-				}
-			}
-		default:
-			if s != nil {
-				for _, i := range s {
-					v, err := ibin(op, x[i], y[i])
-					if err != nil {
-						return err
-					}
-					d[i] = v
-				}
-			} else {
-				for i := 0; i < b.n; i++ {
-					v, err := ibin(op, x[i], y[i])
-					if err != nil {
-						return err
-					}
-					d[i] = v
-				}
-			}
+			d[i] = v
 		}
 		return nil
 	}
@@ -658,64 +904,221 @@ func primBinI(in kernel.Instr) batchPrim {
 // primBinI.
 func primBinF(in kernel.Instr) batchPrim {
 	op, dr, ar, br := in.BOp, in.Dst, in.A, in.B
+	var loop binLoop[float64]
+	if int(op) < len(fltBinLoops) {
+		loop = fltBinLoops[op]
+	}
 	return func(w *worker, b *bstate) error {
 		d, x, y := b.rf[dr], b.rf[ar], b.rf[br]
 		if w.count {
 			w.stats.FloatOps += int64(b.active())
 		}
-		s := b.sel
-		switch op {
-		case kernel.BAdd:
-			if s != nil {
-				for _, i := range s {
-					d[i] = x[i] + y[i]
+		if loop != nil {
+			loop(d, x, y, b.sel, b.n)
+			return nil
+		}
+		if s := b.sel; s != nil {
+			for _, i := range s {
+				v, err := fbin(op, x[i], y[i])
+				if err != nil {
+					return err
 				}
-			} else {
-				for i := 0; i < b.n; i++ {
-					d[i] = x[i] + y[i]
-				}
+				d[i] = v
 			}
-		case kernel.BSub:
-			if s != nil {
-				for _, i := range s {
-					d[i] = x[i] - y[i]
-				}
-			} else {
-				for i := 0; i < b.n; i++ {
-					d[i] = x[i] - y[i]
-				}
+			return nil
+		}
+		for i := 0; i < b.n; i++ {
+			v, err := fbin(op, x[i], y[i])
+			if err != nil {
+				return err
 			}
-		case kernel.BMul:
-			if s != nil {
-				for _, i := range s {
-					d[i] = x[i] * y[i]
-				}
-			} else {
-				for i := 0; i < b.n; i++ {
-					d[i] = x[i] * y[i]
-				}
-			}
-		default:
-			if s != nil {
-				for _, i := range s {
-					v, err := fbin(op, x[i], y[i])
-					if err != nil {
-						return err
-					}
-					d[i] = v
-				}
-			} else {
-				for i := 0; i < b.n; i++ {
-					v, err := fbin(op, x[i], y[i])
-					if err != nil {
-						return err
-					}
-					d[i] = v
-				}
-			}
+			d[i] = v
 		}
 		return nil
 	}
+}
+
+// binLoop applies one binary operator to the lanes of a batch: the
+// selected ones when sel is non-nil, else the first n. Comparisons and
+// logic produce 0/1 without branching on the data.
+type binLoop[T int64 | float64] func(d, x, y []T, sel []int32, n int)
+
+// intBinLoops holds a loop per non-trapping integer operator (nil: use
+// ibin, which reports division and modulo by zero).
+var intBinLoops = [...]binLoop[int64]{
+	kernel.BAdd: func(d, x, y []int64, sel []int32, n int) {
+		if sel != nil {
+			for _, i := range sel {
+				d[i] = x[i] + y[i]
+			}
+			return
+		}
+		d = d[:n]
+		x, y = x[:len(d)], y[:len(d)]
+		for i := range d {
+			d[i] = x[i] + y[i]
+		}
+	},
+	kernel.BSub: func(d, x, y []int64, sel []int32, n int) {
+		if sel != nil {
+			for _, i := range sel {
+				d[i] = x[i] - y[i]
+			}
+			return
+		}
+		d = d[:n]
+		x, y = x[:len(d)], y[:len(d)]
+		for i := range d {
+			d[i] = x[i] - y[i]
+		}
+	},
+	kernel.BMul: func(d, x, y []int64, sel []int32, n int) {
+		if sel != nil {
+			for _, i := range sel {
+				d[i] = x[i] * y[i]
+			}
+			return
+		}
+		d = d[:n]
+		x, y = x[:len(d)], y[:len(d)]
+		for i := range d {
+			d[i] = x[i] * y[i]
+		}
+	},
+	kernel.BGt: func(d, x, y []int64, sel []int32, n int) {
+		if sel != nil {
+			for _, i := range sel {
+				d[i] = b2i(x[i] > y[i])
+			}
+			return
+		}
+		d = d[:n]
+		x, y = x[:len(d)], y[:len(d)]
+		for i := range d {
+			d[i] = b2i(x[i] > y[i])
+		}
+	},
+	kernel.BGe: func(d, x, y []int64, sel []int32, n int) {
+		if sel != nil {
+			for _, i := range sel {
+				d[i] = b2i(x[i] >= y[i])
+			}
+			return
+		}
+		d = d[:n]
+		x, y = x[:len(d)], y[:len(d)]
+		for i := range d {
+			d[i] = b2i(x[i] >= y[i])
+		}
+	},
+	kernel.BEq: func(d, x, y []int64, sel []int32, n int) {
+		if sel != nil {
+			for _, i := range sel {
+				d[i] = b2i(x[i] == y[i])
+			}
+			return
+		}
+		d = d[:n]
+		x, y = x[:len(d)], y[:len(d)]
+		for i := range d {
+			d[i] = b2i(x[i] == y[i])
+		}
+	},
+	kernel.BMin: func(d, x, y []int64, sel []int32, n int) {
+		if sel != nil {
+			for _, i := range sel {
+				d[i] = min(x[i], y[i])
+			}
+			return
+		}
+		d = d[:n]
+		x, y = x[:len(d)], y[:len(d)]
+		for i := range d {
+			d[i] = min(x[i], y[i])
+		}
+	},
+	kernel.BMax: func(d, x, y []int64, sel []int32, n int) {
+		if sel != nil {
+			for _, i := range sel {
+				d[i] = max(x[i], y[i])
+			}
+			return
+		}
+		d = d[:n]
+		x, y = x[:len(d)], y[:len(d)]
+		for i := range d {
+			d[i] = max(x[i], y[i])
+		}
+	},
+	kernel.BAnd: func(d, x, y []int64, sel []int32, n int) {
+		if sel != nil {
+			for _, i := range sel {
+				d[i] = b2i(x[i] != 0) & b2i(y[i] != 0)
+			}
+			return
+		}
+		d = d[:n]
+		x, y = x[:len(d)], y[:len(d)]
+		for i := range d {
+			d[i] = b2i(x[i] != 0) & b2i(y[i] != 0)
+		}
+	},
+	kernel.BOr: func(d, x, y []int64, sel []int32, n int) {
+		if sel != nil {
+			for _, i := range sel {
+				d[i] = b2i(x[i]|y[i] != 0)
+			}
+			return
+		}
+		d = d[:n]
+		x, y = x[:len(d)], y[:len(d)]
+		for i := range d {
+			d[i] = b2i(x[i]|y[i] != 0)
+		}
+	},
+}
+
+// fltBinLoops holds a loop per hot float operator (nil: use fbin).
+var fltBinLoops = [...]binLoop[float64]{
+	kernel.BAdd: func(d, x, y []float64, sel []int32, n int) {
+		if sel != nil {
+			for _, i := range sel {
+				d[i] = x[i] + y[i]
+			}
+			return
+		}
+		d = d[:n]
+		x, y = x[:len(d)], y[:len(d)]
+		for i := range d {
+			d[i] = x[i] + y[i]
+		}
+	},
+	kernel.BSub: func(d, x, y []float64, sel []int32, n int) {
+		if sel != nil {
+			for _, i := range sel {
+				d[i] = x[i] - y[i]
+			}
+			return
+		}
+		d = d[:n]
+		x, y = x[:len(d)], y[:len(d)]
+		for i := range d {
+			d[i] = x[i] - y[i]
+		}
+	},
+	kernel.BMul: func(d, x, y []float64, sel []int32, n int) {
+		if sel != nil {
+			for _, i := range sel {
+				d[i] = x[i] * y[i]
+			}
+			return
+		}
+		d = d[:n]
+		x, y = x[:len(d)], y[:len(d)]
+		for i := range d {
+			d[i] = x[i] * y[i]
+		}
+	},
 }
 
 // primLoad compiles ILoad. Loads indexed directly by RegIdx over a dense

@@ -340,34 +340,38 @@ type RegUse struct {
 	Float bool
 }
 
-// Uses returns the registers the instruction reads, with their domains.
-// Guard conditions, load indices and select conditions always read the
-// integer file; value operands follow the instruction's Float flag. Used
-// by the executor's specializer for def-before-use analysis; not a hot
-// path.
-func (in Instr) Uses() []RegUse {
+// Uses returns the registers the instruction reads, with their domains:
+// the first n entries of u. Guard conditions, load indices and select
+// conditions always read the integer file; value operands follow the
+// instruction's Float flag. The result is a value, so analyses that walk
+// every instruction of a fragment (the verifier, the batch eligibility
+// facts computed on each plan-cache miss) do not allocate.
+func (in Instr) Uses() (u [3]RegUse, n int) {
 	switch in.Op {
-	case IConstI, IConstF:
-		return nil
-	case IMov, IBin:
-		if in.Op == IMov {
-			return []RegUse{{in.A, in.Float}}
-		}
-		return []RegUse{{in.A, in.Float}, {in.B, in.Float}}
+	case IMov:
+		u[0] = RegUse{in.A, in.Float}
+		return u, 1
+	case IBin:
+		u[0], u[1] = RegUse{in.A, in.Float}, RegUse{in.B, in.Float}
+		return u, 2
 	case ISel:
-		return []RegUse{{in.A, false}, {in.B, in.Float}, {in.C, in.Float}}
+		u[0], u[1], u[2] = RegUse{in.A, false}, RegUse{in.B, in.Float}, RegUse{in.C, in.Float}
+		return u, 3
 	case ILoad, ILoadValid, IGuard, ICastIF, ILoadLoc:
-		return []RegUse{{in.A, false}}
+		u[0] = RegUse{in.A, false}
+		return u, 1
 	case ICastFI:
-		return []RegUse{{in.A, true}}
+		u[0] = RegUse{in.A, true}
+		return u, 1
 	case IStore, IStoreLoc:
-		u := []RegUse{{in.A, false}, {in.B, in.Float}}
+		u[0], u[1] = RegUse{in.A, false}, RegUse{in.B, in.Float}
 		if in.Op == IStore && in.C > 0 {
-			u = append(u, RegUse{in.C, false})
+			u[2] = RegUse{in.C, false}
+			return u, 3
 		}
-		return u
+		return u, 2
 	}
-	return nil
+	return u, 0
 }
 
 // Def returns the register the instruction writes and its domain, or

@@ -136,6 +136,9 @@ func BuildSpans(m QueryMeta, traces []*trace.Trace) QuerySpans {
 			if s.Specialized != "" {
 				sa["specialized"] = s.Specialized
 			}
+			if s.Fallback != "" {
+				sa["fallback"] = s.Fallback
+			}
 			child(s.Kind+" "+s.Name, phase, stepCursor, s.WallNS, sa)
 			stepCursor += s.WallNS
 		}

@@ -172,6 +172,27 @@ func TestBuildSpans(t *testing.T) {
 	}
 }
 
+// TestBuildSpansFallback: a fragment span carries the execution path and,
+// for an interpreted fragment, the reason it missed the batch path.
+func TestBuildSpansFallback(t *testing.T) {
+	q, _ := ParseTraceparent("00-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-01")
+	tr := &trace.Trace{Backend: "compiled", WallNS: 2e6}
+	tr.Add(trace.Step{Kind: trace.KindFragment, Name: "gfold_1", WallNS: 2e6,
+		Specialized: "interp", Fallback: "counted"})
+	tr.Finish(2 * time.Millisecond)
+	start := time.Unix(1000, 0)
+	qs := BuildSpans(QueryMeta{ID: q, Start: start, End: start.Add(3 * time.Millisecond)}, []*trace.Trace{tr})
+	for _, s := range qs.Spans {
+		if s.Name == "fragment gfold_1" {
+			if s.Attrs["specialized"] != "interp" || s.Attrs["fallback"] != "counted" {
+				t.Errorf("fragment attrs: %+v", s.Attrs)
+			}
+			return
+		}
+	}
+	t.Fatalf("no fragment span: %+v", qs.Spans)
+}
+
 // TestSpanStore: ring retention with eviction of the oldest tree.
 func TestSpanStore(t *testing.T) {
 	st := NewSpanStore(2)

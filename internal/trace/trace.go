@@ -59,6 +59,10 @@ type Step struct {
 	// "fused" (single-closure fast path), "batch" (compiled batch
 	// primitives), or "interp" (per-element interpreter fallback).
 	Specialized string `json:"specialized,omitempty"`
+	// Fallback says why an interpreted fragment did not take the batch
+	// path: a verify.BatchFacts reason, or "counted", "fault-injection",
+	// "off" or "first-run".
+	Fallback string `json:"fallback,omitempty"`
 
 	// Control-vector shape of a fragment: Extent parallel work items,
 	// Intent sequential iterations each, over N guarded elements.
@@ -240,6 +244,9 @@ func (t *Trace) String() string {
 		}
 		if s.Specialized != "" && s.Specialized != "interp" {
 			flags = append(flags, "spec:"+s.Specialized)
+		}
+		if s.Fallback != "" {
+			flags = append(flags, "interp:"+s.Fallback)
 		}
 		if len(flags) > 0 {
 			fmt.Fprintf(&sb, " [%s]", strings.Join(flags, " "))

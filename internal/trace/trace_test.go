@@ -107,6 +107,22 @@ func TestStringRendering(t *testing.T) {
 	}
 }
 
+// TestStringShowsFallback: EXPLAIN ANALYZE names why an interpreted
+// fragment missed the batch path, and says nothing for specialized ones.
+func TestStringShowsFallback(t *testing.T) {
+	tr := &Trace{Backend: "compiled"}
+	tr.Add(Step{Kind: KindFragment, Name: "greduce_9", Specialized: "interp", Fallback: "first-run"})
+	tr.Add(Step{Kind: KindFragment, Name: "filt_0", Specialized: "batch"})
+	tr.Finish(time.Millisecond)
+	lines := strings.Split(tr.String(), "\n")
+	if !strings.Contains(lines[1], "greduce_9") || !strings.Contains(lines[1], "interp:first-run") {
+		t.Errorf("interpreted step does not name its fallback: %q", lines[1])
+	}
+	if !strings.Contains(lines[2], "spec:batch") || strings.Contains(lines[2], "interp:") {
+		t.Errorf("batch step rendered wrong: %q", lines[2])
+	}
+}
+
 func TestJSONRoundTrip(t *testing.T) {
 	tr := &Trace{Backend: "interpreted"}
 	tr.Add(Step{Kind: KindStmt, Name: "FoldSum", Stmts: []int{7}, Items: 3})

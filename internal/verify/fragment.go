@@ -46,9 +46,11 @@ func Kernel(k *kernel.Kernel) []Diagnostic {
 // a read with no prior definition observes a sibling item's leftovers and
 // makes results depend on morsel boundaries. Special registers are defined
 // contextually — RegGID from the work-item prologue on, RegIV/RegIdx once
-// the first loop has started, RegJ only inside the post-loop body. Reads
-// inside a loop body may see definitions from any point of the same body
-// (loop-carried values are deterministic within one work item).
+// the first loop has started, RegJ only inside the post-loop body. A read
+// inside a repeated body (a loop or the post-loop body) may see a
+// definition from later in the same body — a loop-carried value — but
+// only if an earlier section initializes it (VF012), so the first
+// iteration of every work item starts from a defined value.
 func Fragment(f *kernel.Fragment, bufs []kernel.BufDecl) []Diagnostic {
 	v := &fragVerifier{f: f, bufs: bufs,
 		defI:   map[kernel.Reg]bool{},
@@ -197,10 +199,8 @@ func (v *fragVerifier) section(name string, body []kernel.Instr, loopBody bool) 
 	f := v.f
 
 	// Loop-carried definitions: anything defined somewhere in this body is
-	// visible to every read of the body from the second iteration on, and
-	// deterministic for the first (the executor zero-fills fresh register
-	// files and the compiler's shapes define before first read anyway —
-	// strictness here belongs to the batch specializer, see BatchFacts).
+	// visible to every read of the body from the second iteration on; the
+	// first iteration needs an initialization before the body (VF012).
 	bodyDefI := map[kernel.Reg]bool{}
 	bodyDefF := map[kernel.Reg]bool{}
 	if loopBody {
@@ -221,19 +221,30 @@ func (v *fragVerifier) section(name string, body []kernel.Instr, loopBody bool) 
 			v.diags = errorf(v.diags, pos, RuleBadInstr, "unknown opcode %d", in.Op)
 			continue
 		}
-		for _, u := range in.Uses() {
+		us, n := in.Uses()
+		for _, u := range us[:n] {
 			if u.R < 0 {
 				v.diags = errorf(v.diags, pos, RuleBadInstr,
 					"%s reads negative register r%d", in, u.R)
 				continue
 			}
-			defined := false
+			// v.def holds everything defined before this section plus the
+			// section's own definitions so far; bodyDef adds the body's
+			// later definitions, which only a repeated body can observe.
+			defined, later := v.defI[u.R], bodyDefI[u.R]
 			if u.Float {
-				defined = v.defF[u.R] || bodyDefF[u.R]
-			} else {
-				defined = v.defI[u.R] || bodyDefI[u.R]
+				defined, later = v.defF[u.R], bodyDefF[u.R]
 			}
-			if !defined {
+			switch {
+			case defined:
+			case later:
+				// VF012: a loop-carried read whose first iteration sees a
+				// sibling work item's leftovers. The batch specializer's
+				// error replay re-runs work items from their start and
+				// relies on the carry being re-initialized.
+				v.diags = errorf(v.diags, pos, RuleCarriedInit,
+					"%s reads loop-carried r%d, which nothing before the %s initializes", in, u.R, name)
+			default:
 				v.diags = errorf(v.diags, pos, RuleUseBeforeDef,
 					"%s reads r%d before any definition", in, u.R)
 			}
@@ -354,137 +365,355 @@ func (v *fragVerifier) applyClass(in kernel.Instr) {
 // ---------------------------------------------------------------------------
 // Batch specialization facts
 
+// Reasons a fragment is not batch-eligible (Facts.Reason). They are stable
+// metric label values: the executor pre-creates one
+// voodoo_fragments_interpreted_total series per entry of Reasons.
+const (
+	ReasonNoLoops      = "no-loops"          // nothing to batch
+	ReasonLoopShape    = "loop-shape"        // several loops with a carried phase, strided runs, or a static bound other than the intent
+	ReasonDynamicBound = "dynamic-bound"     // a loop bounded by a register
+	ReasonOpcode       = "opcode"            // an instruction outside the vocabulary
+	ReasonOperand      = "operand"           // a negative register or buffer, or a write to a special register
+	ReasonCarriedGuard = "carried-guard"     // a guard whose condition depends on carried state
+	ReasonMixedDef     = "mixed-def"         // a register defined on both the lane and the carried side
+	ReasonImportRedef  = "import-redefined"  // a lane register the carried slice reads is defined twice
+	ReasonSectionRead  = "section-lane-read" // Pre, Post or the post-loop body reads a lane register it did not define
+	ReasonLoadStore    = "load-store"        // a buffer both loaded and stored
+	ReasonStoreOverlap = "store-overlap"     // a buffer stored on the lane side is stored by another instruction too
+	ReasonCarryInit    = "carry-init"        // a loop-carried register Pre does not initialize (VF012)
+)
+
+// Reasons lists every ineligibility reason BatchFacts can report.
+var Reasons = []string{
+	ReasonNoLoops, ReasonLoopShape, ReasonDynamicBound, ReasonOpcode, ReasonOperand,
+	ReasonCarriedGuard, ReasonMixedDef, ReasonImportRedef, ReasonSectionRead,
+	ReasonLoadStore, ReasonStoreOverlap, ReasonCarryInit,
+}
+
 // Facts are the fragment eligibility facts the executor's batch specializer
-// consumes (exec.compileBatch). They mirror the specializer's historical
-// eligibility rules exactly; the pinning test in package exec asserts the
-// decisions are unchanged over the difftest corpus.
+// consumes (exec.compileBatch).
+//
+// A batch runs lanes: one lane per loop iteration, identified by its
+// global index idx (RegGID = idx/Intent, RegIV = idx%Intent). When every
+// loop runs exactly once per work item with idx == gid (PerItem), a lane
+// is a work item and each loop is one primitive sequence over the lanes.
+//
+// The loop body splits into the lane side and the carried slice. Lane
+// instructions depend only on the current lane and run instruction-major
+// as batch primitives over register columns. The carried slice — every
+// instruction that touches locals, reads a register before the body
+// defines it (a loop-carried read), or reads or defines a register another
+// carried instruction defines — runs element-major, lane after lane in
+// index order, through the interpreter, together with Pre, Post and the
+// post-loop body at work-item boundaries. Results therefore stay
+// bit-identical to the interpreter's.
 type Facts struct {
-	// BatchEligible reports whether the fragment can run as batch
-	// primitives: loop-bodies-only, one iteration per work item, straight
-	// whitelisted instructions, strict per-body def-before-use, and
-	// single-store/load-disjoint buffer access.
+	// BatchEligible reports whether the fragment can run as a batch.
 	BatchEligible bool
-	// Reason explains ineligibility ("" when eligible).
+	// Reason names the rule that failed, one of Reasons ("" when
+	// eligible).
 	Reason string
 	// Countable marks every memory access sequential, making batch event
 	// counts order-independent and therefore exact.
 	Countable bool
-	// IntRegs/FltRegs list the registers needing a column in each file,
-	// ascending; NRegs bounds both index spaces.
+	// IntRegs/FltRegs list the registers needing a lane column in each
+	// file, ascending: the specials RegGID, RegIV and RegIdx plus every
+	// register the lane side defines. NRegs bounds both index spaces.
 	IntRegs []kernel.Reg
 	FltRegs []kernel.Reg
 	NRegs   int
+	// PerItem reports that lanes are work items (every loop runs once
+	// with idx == gid). Otherwise the fragment has one blocked loop of
+	// Intent iterations.
+	PerItem bool
+	// Split reports a carried phase: Pre, Post, a post-loop body, locals
+	// or carried instructions. Only single-loop fragments split.
+	Split bool
+	// Carried lists the body positions of the carried slice in order, and
+	// Level the number of lane guards before each: a lane that passed g
+	// guards runs the carried instructions of level <= g. LaneGuards is
+	// the number of guards on the lane side.
+	Carried    []int
+	Level      []int
+	LaneGuards int
+	// ImportI/ImportF list the lane registers the carried slice reads,
+	// copied from the lane columns into the scalar register file before
+	// each lane's carried instructions run.
+	ImportI []kernel.Reg
+	ImportF []kernel.Reg
 }
 
 // ineligible builds the not-eligible result.
 func ineligible(reason string) Facts { return Facts{Reason: reason} }
 
+// Per-register flags of the split analysis, one entry per register and
+// file (index 2*r, plus 1 for the float file).
+const (
+	rSeen       uint16 = 1 << iota // defined earlier in the body
+	rCarried                       // lives in the carried slice
+	rCarryRead                     // read before the body defines it
+	rLaneDef                       // defined on the lane side
+	rLaneTwice                     // defined on the lane side more than once
+	rCarriedDef                    // defined by a carried instruction
+	rPreDef                        // defined by Pre before any guard
+	rImport                        // read by the carried slice from a lane column
+	rSectionDef                    // defined earlier in the section being scanned
+)
+
+// Per-buffer flags.
+const (
+	bLoad uint8 = 1 << iota
+	bStore
+	bLaneStore
+	bStoreTwice
+)
+
 // BatchFacts computes the batch-specialization eligibility facts for one
-// fragment. The rules are conservative: a rejected fragment simply
-// interprets.
+// fragment. It runs on every plan-cache miss, so it makes one forward pass
+// over dense per-register slices and allocates only its result. The rules
+// are conservative: a rejected fragment simply interprets.
 func BatchFacts(f *kernel.Fragment) Facts {
-	// Whole-lane execution must reduce to the loop bodies: any per-item
-	// prologue/epilogue or scratch array needs element-major order.
-	if f.Locals != 0 || len(f.Pre) != 0 || len(f.Post) != 0 || len(f.PostLoopBody) != 0 {
-		return ineligible("per-item prologue, epilogue or scratch array")
-	}
 	if len(f.Loops) == 0 {
-		return ineligible("no loops")
+		return ineligible(ReasonNoLoops)
 	}
-	// Each loop must run exactly one iteration with idx == gid, so a batch
-	// of consecutive gids is a batch of consecutive idxs.
-	if f.Intent != 1 && !f.Strided {
-		return ineligible("blocked index mapping with intent != 1")
-	}
+	perItem := f.Intent == 1 || f.Strided
 	for _, l := range f.Loops {
 		if l.BoundReg > 0 {
-			return ineligible("dynamic loop bound")
+			return ineligible(ReasonDynamicBound)
 		}
-		bound := l.Bound
-		if bound <= 0 {
-			bound = f.Intent
+		if l.Bound != 1 && (l.Bound > 0 || f.Intent != 1) {
+			perItem = false
 		}
-		if bound != 1 {
-			return ineligible("loop iterates more than once per work item")
+	}
+	if !perItem {
+		// A lane is one iteration of the single blocked loop, which must
+		// run exactly Intent times per work item.
+		l := f.Loops[0]
+		if len(f.Loops) != 1 || f.Strided || f.Intent < 0 || (l.Bound > 0 && l.Bound != f.Intent) {
+			return ineligible(ReasonLoopShape)
 		}
+	}
+	fa := Facts{PerItem: perItem,
+		Split: f.Locals != 0 || len(f.Pre) != 0 || len(f.Post) != 0 || len(f.PostLoopBody) != 0}
+
+	// Size the dense tables and reject malformed operands up front.
+	nregs, nbufs := int(kernel.FirstFree), 0
+	reason := ""
+	scan := func(instrs []kernel.Instr) {
+		for _, in := range instrs {
+			if in.Op > kernel.IStoreLoc {
+				reason = ReasonOpcode
+				return
+			}
+			us, n := in.Uses()
+			for _, u := range us[:n] {
+				if u.R < 0 {
+					reason = ReasonOperand
+				}
+				nregs = max(nregs, int(u.R)+1)
+			}
+			if r, _, ok := in.Def(); ok {
+				if r < kernel.FirstFree {
+					reason = ReasonOperand
+				}
+				nregs = max(nregs, int(r)+1)
+			}
+			switch in.Op {
+			case kernel.ILoad, kernel.ILoadValid, kernel.IStore:
+				if in.Buf < 0 {
+					reason = ReasonOperand
+				}
+				nbufs = max(nbufs, in.Buf+1)
+			}
+		}
+	}
+	scan(f.Pre)
+	for _, l := range f.Loops {
+		scan(l.Body)
+	}
+	scan(f.Post)
+	scan(f.PostLoopBody)
+	if reason != "" {
+		return ineligible(reason)
+	}
+	regs := make([]uint16, 2*nregs)
+	bufs := make([]uint8, nbufs)
+	key := func(r kernel.Reg, flt bool) int {
+		if flt {
+			return 2*int(r) + 1
+		}
+		return 2 * int(r)
+	}
+	// laneSpecial reports the registers every lane defines for itself.
+	laneSpecial := func(u kernel.RegUse) bool {
+		return !u.Float && (u.R == kernel.RegGID || u.R == kernel.RegIV || u.R == kernel.RegIdx)
 	}
 	countable := true
-	usedI := map[kernel.Reg]bool{kernel.RegGID: true, kernel.RegIV: true, kernel.RegIdx: true}
-	usedF := map[kernel.Reg]bool{}
-	loaded := map[int]bool{}
-	stored := map[int]bool{}
+	access := func(in kernel.Instr, lane bool) {
+		switch in.Op {
+		case kernel.ILoad, kernel.ILoadValid:
+			bufs[in.Buf] |= bLoad
+		case kernel.IStore:
+			if bufs[in.Buf]&bStore != 0 {
+				bufs[in.Buf] |= bStoreTwice
+			}
+			bufs[in.Buf] |= bStore
+			if lane {
+				bufs[in.Buf] |= bLaneStore
+			}
+		default:
+			return
+		}
+		if !in.Seq {
+			countable = false
+		}
+	}
+
+	// Pre initializes the carried registers (definitions after a guard
+	// are conditional and do not count).
+	guarded := false
+	for _, in := range f.Pre {
+		guarded = guarded || in.Op == kernel.IGuard
+		if r, flt, ok := in.Def(); ok && !guarded {
+			regs[key(r, flt)] |= rPreDef
+		}
+		access(in, false)
+	}
+
+	// Classify the loop bodies in one forward pass each.
 	for _, l := range f.Loops {
-		// Registers may not carry values across work items: the
-		// interpreter's register file persists across gids, so a read
-		// before a definition (within this loop body) would observe a
-		// sibling item's leftovers and diverge. Specials are defined by
-		// the batch prologue.
-		defI := map[kernel.Reg]bool{kernel.RegGID: true, kernel.RegIV: true, kernel.RegIdx: true}
-		defF := map[kernel.Reg]bool{}
-		for _, in := range l.Body {
-			switch in.Op {
-			case kernel.IConstI, kernel.IConstF, kernel.IMov, kernel.IBin, kernel.ISel,
-				kernel.ILoad, kernel.ILoadValid, kernel.IStore, kernel.IGuard,
-				kernel.ICastIF, kernel.ICastFI:
-			default:
-				return ineligible("opcode outside the batch vocabulary") // locals and unknown opcodes stay interpreted
-			}
-			for _, u := range in.Uses() {
-				if u.R < 0 {
-					return ineligible("negative register operand")
+		for k := range regs {
+			regs[k] &^= rSeen
+		}
+		for i, in := range l.Body {
+			c := in.Op == kernel.ILoadLoc || in.Op == kernel.IStoreLoc
+			us, n := in.Uses()
+			for _, u := range us[:n] {
+				if laneSpecial(u) {
+					continue
 				}
-				if u.Float {
-					if !defF[u.R] {
-						return ineligible("register value carried across work items")
+				k := key(u.R, u.Float)
+				if regs[k]&rSeen == 0 {
+					regs[k] |= rCarried | rCarryRead
+				}
+				c = c || regs[k]&rCarried != 0
+			}
+			r, flt, def := in.Def()
+			c = c || (def && regs[key(r, flt)]&rCarried != 0)
+			access(in, !c)
+			switch {
+			case c && in.Op == kernel.IGuard:
+				return ineligible(ReasonCarriedGuard)
+			case c:
+				fa.Carried = append(fa.Carried, i)
+				fa.Level = append(fa.Level, fa.LaneGuards)
+			case in.Op == kernel.IGuard:
+				fa.LaneGuards++
+			}
+			if def {
+				k := key(r, flt)
+				switch {
+				case c:
+					regs[k] |= rCarried | rCarriedDef
+				case regs[k]&rLaneDef != 0:
+					regs[k] |= rLaneTwice
+				default:
+					regs[k] |= rLaneDef
+				}
+				regs[k] |= rSeen
+			}
+		}
+	}
+	if len(fa.Carried) > 0 {
+		fa.Split = true
+	}
+	if fa.Split && len(f.Loops) != 1 {
+		return ineligible(ReasonLoopShape)
+	}
+
+	// The carried slice imports the lane registers it reads; each must
+	// hold a single value per lane.
+	for _, i := range fa.Carried {
+		us, n := f.Loops[0].Body[i].Uses()
+		for _, u := range us[:n] {
+			k := key(u.R, u.Float)
+			if laneSpecial(u) || regs[k]&rLaneDef == 0 || regs[k]&rImport != 0 {
+				continue
+			}
+			if regs[k]&rLaneTwice != 0 {
+				return ineligible(ReasonImportRedef)
+			}
+			regs[k] |= rImport
+			if u.Float {
+				fa.ImportF = append(fa.ImportF, u.R)
+			} else {
+				fa.ImportI = append(fa.ImportI, u.R)
+			}
+		}
+	}
+	for _, fl := range regs {
+		if fl&rLaneDef != 0 && fl&rCarriedDef != 0 {
+			return ineligible(ReasonMixedDef)
+		}
+		if fl&rCarryRead != 0 && fl&rPreDef == 0 {
+			return ineligible(ReasonCarryInit)
+		}
+	}
+
+	// Pre, Post and the post-loop body run in the carried phase, where the
+	// scalar register file holds no lane values: each may read a lane
+	// register only after defining it itself (Post and the post-loop body
+	// count as one section, in execution order).
+	sectionRead := func(secs ...[]kernel.Instr) bool {
+		for k := range regs {
+			regs[k] &^= rSectionDef
+		}
+		for _, sec := range secs {
+			for _, in := range sec {
+				us, n := in.Uses()
+				for _, u := range us[:n] {
+					k := key(u.R, u.Float)
+					if (!u.Float && (u.R == kernel.RegIV || u.R == kernel.RegIdx)) ||
+						regs[k]&(rLaneDef|rSectionDef) == rLaneDef {
+						return true
 					}
-				} else if !defI[u.R] {
-					return ineligible("register value carried across work items")
 				}
-			}
-			switch in.Op {
-			case kernel.ILoad, kernel.ILoadValid:
-				if stored[in.Buf] {
-					return ineligible("load after store of the same buffer")
-				}
-				loaded[in.Buf] = true
-				if !in.Seq {
-					countable = false
-				}
-			case kernel.IStore:
-				if stored[in.Buf] || loaded[in.Buf] {
-					return ineligible("store overlaps an earlier access of the same buffer")
-				}
-				stored[in.Buf] = true
-				if !in.Seq {
-					countable = false
-				}
-			}
-			if r, flt, ok := in.Def(); ok {
-				if r < kernel.FirstFree {
-					return ineligible("writes a special register")
-				}
-				if flt {
-					defF[r], usedF[r] = true, true
-				} else {
-					defI[r], usedI[r] = true, true
+				if r, flt, ok := in.Def(); ok {
+					regs[key(r, flt)] |= rSectionDef
 				}
 			}
 		}
+		return false
 	}
-	fa := Facts{BatchEligible: true, Countable: countable}
-	for r := range usedI {
-		fa.IntRegs = append(fa.IntRegs, r)
-		if int(r)+1 > fa.NRegs {
+	if sectionRead(f.Pre) || sectionRead(f.Post, f.PostLoopBody) {
+		return ineligible(ReasonSectionRead)
+	}
+	for _, sec := range [2][]kernel.Instr{f.Post, f.PostLoopBody} {
+		for _, in := range sec {
+			access(in, false)
+		}
+	}
+	for _, b := range bufs {
+		if b&bLoad != 0 && b&bStore != 0 {
+			return ineligible(ReasonLoadStore)
+		}
+		if b&bLaneStore != 0 && b&bStoreTwice != 0 {
+			return ineligible(ReasonStoreOverlap)
+		}
+	}
+
+	fa.BatchEligible, fa.Countable = true, countable
+	fa.IntRegs = []kernel.Reg{kernel.RegGID, kernel.RegIV, kernel.RegIdx}
+	fa.NRegs = int(kernel.RegIdx) + 1
+	for r := kernel.FirstFree; int(r) < nregs; r++ {
+		if regs[key(r, false)]&rLaneDef != 0 {
+			fa.IntRegs = append(fa.IntRegs, r)
+			fa.NRegs = int(r) + 1
+		}
+		if regs[key(r, true)]&rLaneDef != 0 {
+			fa.FltRegs = append(fa.FltRegs, r)
 			fa.NRegs = int(r) + 1
 		}
 	}
-	for r := range usedF {
-		fa.FltRegs = append(fa.FltRegs, r)
-		if int(r)+1 > fa.NRegs {
-			fa.NRegs = int(r) + 1
-		}
-	}
-	sort.Slice(fa.IntRegs, func(i, j int) bool { return fa.IntRegs[i] < fa.IntRegs[j] })
-	sort.Slice(fa.FltRegs, func(i, j int) bool { return fa.FltRegs[i] < fa.FltRegs[j] })
 	return fa
 }

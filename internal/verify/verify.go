@@ -131,6 +131,7 @@ const (
 	RuleSeqClass     = "VF009" // sequential access through a non-affine index
 	RuleRWOverlap    = "VF010" // fragment loads and stores the same buffer
 	RuleBadInstr     = "VF011" // unknown opcode or negative operand register
+	RuleCarriedInit  = "VF012" // loop-carried register not defined before its loop
 
 	// Kernel level.
 	RuleBufDecl = "VK001" // buffer declaration with negative size or empty name
