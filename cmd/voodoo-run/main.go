@@ -177,8 +177,20 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		if *explain {
-			e.PlanSink = func(p *compile.Plan) { fmt.Print(p.Explain()) }
+		if *explain || *showKernel || *showCL {
+			e.PlanSink = func(p *compile.Plan) {
+				if *showKernel {
+					fmt.Println("-- kernel fragments:")
+					fmt.Println(p.Kernel())
+				}
+				if *showCL {
+					fmt.Println("-- generated OpenCL C:")
+					fmt.Println(opencl.Generate(p.Kernel()))
+				}
+				if *explain {
+					fmt.Print(p.Explain())
+				}
+			}
 		}
 		var traces []*trace.Trace
 		if *analyze || *traceOut != "" {

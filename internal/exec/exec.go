@@ -580,10 +580,12 @@ type worker struct {
 	classify bool
 	stats    FragStats
 	// batch/fused select the specialized execution path for this run (both
-	// nil = interpret); bst is the batch register-column state.
+	// nil = interpret); bst is the batch register-column state and pst
+	// that of a compiled post-loop body.
 	batch *batchProg
 	fused fusedRunner
 	bst   bstate
+	pst   bstate
 	// checks gates the checkpoint machinery: false means the fast path
 	// pays a single predictable branch per item and nothing else.
 	checks bool
@@ -840,10 +842,15 @@ func (w *worker) beginItem(gid int) error {
 // endItem finishes the current work item: Post, then the post-loop body
 // once per scratch slot.
 func (w *worker) endItem() error {
-	f := w.f
-	if err := w.exec(f.Post); err != nil {
+	if err := w.exec(w.f.Post); err != nil {
 		return err
 	}
+	return w.postInterp()
+}
+
+// postInterp interprets the post-loop body once per scratch slot.
+func (w *worker) postInterp() error {
+	f := w.f
 	if len(f.PostLoopBody) > 0 {
 		for j := 0; j < f.Locals; j++ {
 			w.ri[kernel.RegJ] = int64(j)

@@ -14,8 +14,9 @@
 //     inside a primitive. Loop-carried state — folds, position cursors,
 //     grouped scratch arrays — lives in the carried slice
 //     (verify.BatchFacts), which runs after the primitives lane by lane in
-//     index order through the interpreter, together with Pre, Post and
-//     the post-loop body at work-item boundaries.
+//     index order as compiled carried steps (carried.go), with Pre and
+//     Post at work-item boundaries and a lane-pure post-loop body as
+//     primitives over its slots.
 //   - fused fast paths: single hand-fused closures for the hottest shapes
 //     mined from TPC-H traces — load→compare→guard→store selection,
 //     load→arith→store maps, and the FoldSum/FoldMin/FoldMax accumulate
@@ -264,17 +265,19 @@ type batchProg struct {
 	// countable marks every compiled memory access sequential, making the
 	// batch's event counts exact (see the package comment).
 	countable bool
+	// consts are the hoisted lane constants, filled by attachBatch.
+	consts []constCol
 
-	// split marks a carried phase. carried is the carried slice in body
-	// order; a lane that passed g lane guards runs carried[:prefix[g]].
-	// guards is the number of lane guards (lanes passing all of them have
-	// level guards). importI/importF are the lane registers the slice
-	// reads.
-	split            bool
-	carried          []kernel.Instr
-	prefix           []int
-	guards           int
-	importI, importF []kernel.Reg
+	// split marks a carried phase. steps is the compiled carried slice in
+	// body order; a lane that passed g lane guards runs
+	// steps[:prefix[g]]. guards is the number of lane guards (lanes
+	// passing all of them have level guards). post is the lane-pure
+	// post-loop body (nil: none, or interpreted slot by slot).
+	split  bool
+	steps  []carriedStep
+	prefix []int
+	guards int
+	post   *postProg
 }
 
 // bstate is a worker's per-batch register-column state. Columns live in
@@ -282,7 +285,8 @@ type batchProg struct {
 // otherwise sel lists active lane offsets in ascending order. lvl holds
 // the number of lane guards each lane passed (maintained for split
 // programs). item is the work item whose carried state is open (-1:
-// none).
+// none); while its closing fails it stays open, naming the item to
+// replay.
 type bstate struct {
 	n      int
 	sel    []int32
@@ -316,8 +320,6 @@ func compileBatch(f *kernel.Fragment) (*batchProg, string) {
 		countable: facts.Countable,
 		split:     facts.Split,
 		guards:    facts.LaneGuards,
-		importI:   facts.ImportI,
-		importF:   facts.ImportF,
 	}
 	if facts.PerItem {
 		bp.span = 1
@@ -325,14 +327,18 @@ func compileBatch(f *kernel.Fragment) (*batchProg, string) {
 	carried := make([]bool, len(f.Loops[0].Body))
 	for _, i := range facts.Carried {
 		carried[i] = true
-		bp.carried = append(bp.carried, f.Loops[0].Body[i])
 	}
-	bp.colI, bp.colF, bp.nColI, bp.nColF = assignColumns(f, carried, facts)
-	bp.prefix = make([]int, bp.guards+1)
-	for g := range bp.prefix {
-		for _, lv := range facts.Level {
-			if lv <= g {
-				bp.prefix[g]++
+	hoist, consts := laneConsts(f, carried, facts.NRegs)
+	bp.colI, bp.colF, bp.nColI, bp.nColF = assignColumns(f, carried, facts, hoist, consts)
+	bp.consts = consts
+	if bp.split {
+		// Unreachable failures, as for the lane side below.
+		if bp.steps, bp.prefix = compileCarried(f, facts); bp.prefix == nil {
+			return nil, verify.ReasonOpcode
+		}
+		if facts.PostLanes {
+			if bp.post = compilePost(f); bp.post == nil {
+				return nil, verify.ReasonOpcode
 			}
 		}
 	}
@@ -342,6 +348,9 @@ func compileBatch(f *kernel.Fragment) (*batchProg, string) {
 		for i, in := range l.Body {
 			if li == 0 && carried[i] {
 				continue
+			}
+			if r, flt, _ := in.Def(); (in.Op == kernel.IConstI || in.Op == kernel.IConstF) && hoist[regKey(r, flt, facts.NRegs)] >= 0 {
+				continue // filled once by attachBatch
 			}
 			var p batchPrim
 			if in.Op == kernel.IGuard {
@@ -363,20 +372,83 @@ func compileBatch(f *kernel.Fragment) (*batchProg, string) {
 	return bp, ""
 }
 
+// regKey indexes the per-register tables of the batch compiler: the
+// integer file, then the float file, n registers each.
+func regKey(r kernel.Reg, flt bool, n int) int {
+	if flt {
+		return n + int(r)
+	}
+	return int(r)
+}
+
+// constCol is a hoisted lane constant: column col, filled once per worker
+// with i or, in the float file, f.
+type constCol struct {
+	col int32
+	flt bool
+	i   int64
+	f   float64
+}
+
+// laneConsts finds the lane registers defined exactly once on the lane
+// side, by a constant. Constants with equal values share one column,
+// filled once when a worker attaches the program, so they cost no
+// primitive per batch. hoist gives each register key (regKey) the index
+// of its value in consts, or -1; assignColumns places the columns.
+func laneConsts(f *kernel.Fragment, carried []bool, n int) (hoist []int32, consts []constCol) {
+	// The first pass marks each register key unseen (-1), defined once by
+	// a constant (-2) or disqualified (-3); the second numbers the values.
+	hoist = make([]int32, 2*n)
+	for i := range hoist {
+		hoist[i] = -1
+	}
+	for pass := 0; pass < 2; pass++ {
+		for li, l := range f.Loops {
+			for i, in := range l.Body {
+				r, flt, ok := in.Def()
+				if !ok || li == 0 && carried[i] {
+					continue
+				}
+				k := regKey(r, flt, n)
+				konst := in.Op == kernel.IConstI || in.Op == kernel.IConstF
+				switch {
+				case pass == 0 && hoist[k] == -1 && konst:
+					hoist[k] = -2
+				case pass == 0:
+					hoist[k] = -3
+				case hoist[k] == -2:
+					c := constCol{flt: flt, i: in.Imm, f: in.FImm}
+					v := 0
+					for v < len(consts) && (consts[v].flt != c.flt || consts[v].i != c.i ||
+						math.Float64bits(consts[v].f) != math.Float64bits(c.f)) {
+						v++
+					}
+					if v == len(consts) {
+						consts = append(consts, c)
+					}
+					hoist[k] = int32(v)
+				}
+			}
+		}
+	}
+	for k, v := range hoist {
+		if v < 0 {
+			hoist[k] = -1
+		}
+	}
+	return hoist, consts
+}
+
 // assignColumns gives every lane register a column of its file, sharing
 // columns between registers whose live ranges — first definition to last
-// use, in lane-side order over all loops — do not overlap. Imports stay
-// live to the end of the batch, when the carried phase reads them. A
-// column is released only after the instruction that last reads it has
-// its own result column, so no primitive writes a column it is reading.
-func assignColumns(f *kernel.Fragment, carried []bool, facts verify.Facts) (colI, colF []int32, nI, nF int) {
+// use, in lane-side order over all loops — do not overlap. Hoisted
+// constants (laneConsts) own a column per value, and imports stay live to
+// the end of the batch, when the carried phase reads them. A column is
+// released only after the instruction that last reads it has its own
+// result column, so no primitive writes a column it is reading.
+func assignColumns(f *kernel.Fragment, carried []bool, facts verify.Facts, hoist []int32, consts []constCol) (colI, colF []int32, nI, nF int) {
 	n := facts.NRegs
-	key := func(r kernel.Reg, flt bool) int {
-		if flt {
-			return n + int(r)
-		}
-		return int(r)
-	}
+	key := func(r kernel.Reg, flt bool) int { return regKey(r, flt, n) }
 	lane := func(yield func(int32, kernel.Instr)) {
 		pos := int32(0)
 		for li, l := range f.Loops {
@@ -409,7 +481,8 @@ func assignColumns(f *kernel.Fragment, carried []bool, facts verify.Facts) (colI
 	for i := range cols {
 		cols[i] = -1
 	}
-	// The specials are written up front and read anywhere.
+	// The specials are written up front and read anywhere, and so are the
+	// hoisted constants.
 	cols[kernel.RegGID], cols[kernel.RegIV], cols[kernel.RegIdx] = 0, 1, 2
 	count := [2]int{3, 0}
 	var free [2][]int32
@@ -418,6 +491,15 @@ func assignColumns(f *kernel.Fragment, carried []bool, facts verify.Facts) (colI
 			return 1
 		}
 		return 0
+	}
+	for i := range consts {
+		consts[i].col = int32(count[file(consts[i].flt)])
+		count[file(consts[i].flt)]++
+	}
+	for k, v := range hoist {
+		if v >= 0 {
+			cols[k], last[k] = consts[v].col, math.MaxInt32
+		}
 	}
 	lane(func(pos int32, in kernel.Instr) {
 		r, flt, def := in.Def()
@@ -448,29 +530,45 @@ func assignColumns(f *kernel.Fragment, carried []bool, facts verify.Facts) (colI
 }
 
 // attachBatch wires the worker's pooled scratch up as register columns for
-// bp. Columns are not zeroed: compileBatch proved every read is preceded
-// by a definition in the same segment.
+// bp, and for its post-loop body, whose columns must not alias the lane
+// columns: a work item can close mid-batch. Columns are not zeroed:
+// compileBatch proved every read is preceded by a definition in the same
+// segment.
 func (w *worker) attachBatch(bp *batchProg) {
 	sc := w.scratch
 	wd, nregs := bp.width, len(bp.colI)
-	ints := grow(&sc.bcols, bp.nColI*wd)
-	flts := grow(&sc.bfcols, bp.nColF*wd)
-	if cap(sc.bri) < nregs {
-		sc.bri = make([][]int64, nregs)
-		sc.brf = make([][]float64, nregs)
+	pw, pregs, pI, pF := 0, 0, 0, 0
+	if pp := bp.post; pp != nil {
+		pw, pregs, pI, pF = pp.width, len(pp.colI), pp.nColI, pp.nColF
 	}
-	sc.bri = sc.bri[:nregs]
-	sc.brf = sc.brf[:nregs]
+	ints := grow(&sc.bcols, bp.nColI*wd+pI*pw)
+	flts := grow(&sc.bfcols, bp.nColF*wd+pF*pw)
+	if cap(sc.bri) < nregs+pregs {
+		sc.bri = make([][]int64, nregs+pregs)
+		sc.brf = make([][]float64, nregs+pregs)
+	}
+	sc.bri = sc.bri[:nregs+pregs]
+	sc.brf = sc.brf[:nregs+pregs]
 	clear(sc.bri)
 	clear(sc.brf)
-	for r, c := range bp.colI {
-		if c >= 0 {
-			sc.bri[r] = ints[int(c)*wd : int(c+1)*wd]
+	wire := func(ri [][]int64, rf [][]float64, colI, colF []int32, ints []int64, flts []float64, wd int) {
+		for r, c := range colI {
+			if c >= 0 {
+				ri[r] = ints[int(c)*wd : int(c+1)*wd]
+			}
+		}
+		for r, c := range colF {
+			if c >= 0 {
+				rf[r] = flts[int(c)*wd : int(c+1)*wd]
+			}
 		}
 	}
-	for r, c := range bp.colF {
-		if c >= 0 {
-			sc.brf[r] = flts[int(c)*wd : int(c+1)*wd]
+	wire(sc.bri, sc.brf, bp.colI, bp.colF, ints, flts, wd)
+	for _, c := range bp.consts {
+		if c.flt {
+			fill(flts[int(c.col)*wd:int(c.col+1)*wd], c.f)
+		} else {
+			fill(ints[int(c.col)*wd:int(c.col+1)*wd], c.i)
 		}
 	}
 	if cap(sc.bsel) < wd {
@@ -479,7 +577,12 @@ func (w *worker) attachBatch(bp *batchProg) {
 	if cap(sc.blvl) < wd {
 		sc.blvl = make([]int32, wd)
 	}
-	w.bst = bstate{ri: sc.bri, rf: sc.brf, selBuf: sc.bsel[:0], lvl: sc.blvl[:cap(sc.blvl)], item: -1}
+	w.bst = bstate{ri: sc.bri[:nregs], rf: sc.brf[:nregs], selBuf: sc.bsel[:0], lvl: sc.blvl[:cap(sc.blvl)], item: -1}
+	if pp := bp.post; pp != nil {
+		pri, prf := sc.bri[nregs:], sc.brf[nregs:]
+		wire(pri, prf, pp.colI, pp.colF, ints[bp.nColI*wd:], flts[bp.nColF*wd:], pw)
+		w.pst = bstate{ri: pri, rf: prf}
+	}
 }
 
 // tickN retires n items' worth of checkpoint budget at once — the batch
@@ -524,10 +627,15 @@ func (w *worker) runBatch(lo, hi int) error {
 		if err := w.runLanes(base, n); err != nil {
 			// Instruction-major order may meet a later lane's error first;
 			// the interpreter re-runs the batch's work items from their
-			// start (Pre re-initializes every carry, and no buffer the
-			// fragment loads is one it stores) and reports the error
-			// element-major order meets first.
-			if rerr := w.runInterp(base/bp.span, (base+n-1)/bp.span+1); rerr != nil {
+			// start — and the still open item before them, whose closing
+			// element-major order meets first — (Pre re-initializes every
+			// carry, and no buffer the fragment loads is one it stores) and
+			// reports the error element-major order meets first.
+			from := base / bp.span
+			if it := w.bst.item; it >= 0 && it < from {
+				from = it
+			}
+			if rerr := w.runInterp(from, (base+n-1)/bp.span+1); rerr != nil {
 				return rerr
 			}
 			return err
@@ -574,6 +682,7 @@ func (w *worker) runLanes(base, n int) error {
 			g, v = g+1, 0
 		}
 	}
+	g, v = base/bp.span, base%bp.span
 	if bp.split {
 		lvl := b.lvl[:n]
 		for i := range lvl {
@@ -598,28 +707,20 @@ func (w *worker) runLanes(base, n int) error {
 	if !bp.split {
 		return nil
 	}
-	ri, rf := w.ri, w.rf
+	steps, prefix := bp.steps, bp.prefix
 	for i := 0; i < n; i++ {
-		idx := base + i
-		if gid := idx / bp.span; gid != b.item {
-			if err := w.enterItem(gid); err != nil {
+		if g != b.item {
+			if err := w.enterItem(g); err != nil {
 				return err
 			}
 		}
-		k := bp.prefix[b.lvl[i]]
-		if k == 0 {
-			continue
+		for _, s := range steps[:prefix[b.lvl[i]]] {
+			if err := s(w, b, i); err != nil {
+				return err
+			}
 		}
-		ri[kernel.RegIV] = int64(idx - b.item*bp.span)
-		ri[kernel.RegIdx] = int64(idx)
-		for _, r := range bp.importI {
-			ri[r] = b.ri[r][i]
-		}
-		for _, r := range bp.importF {
-			rf[r] = b.rf[r][i]
-		}
-		if err := w.exec(bp.carried[:k]); err != nil {
-			return err
+		if v++; v == bp.span {
+			g, v = g+1, 0
 		}
 	}
 	return nil
@@ -634,13 +735,23 @@ func (w *worker) enterItem(gid int) error {
 	return w.beginItem(gid)
 }
 
-// leaveItem closes the open work item, if any.
+// leaveItem closes the open work item, if any: Post, then the post-loop
+// body over every scratch slot — as batch primitives when it is lane-pure.
 func (w *worker) leaveItem() error {
 	if w.bst.item < 0 {
 		return nil
 	}
+	var err error
+	if w.batch.post == nil {
+		err = w.endItem()
+	} else if err = w.exec(w.f.Post); err == nil {
+		err = w.flush(w.bst.item)
+	}
+	if err != nil {
+		return err
+	}
 	w.bst.item = -1
-	return w.endItem()
+	return nil
 }
 
 // countSeqAccess mirrors the interpreter's countAccess for the batch
@@ -715,31 +826,13 @@ func compilePrim(in kernel.Instr) batchPrim {
 	case kernel.IConstI:
 		dst, imm := in.Dst, in.Imm
 		return func(_ *worker, b *bstate) error {
-			d := b.ri[dst]
-			if s := b.sel; s != nil {
-				for _, i := range s {
-					d[i] = imm
-				}
-			} else {
-				for i := 0; i < b.n; i++ {
-					d[i] = imm
-				}
-			}
+			fill(b.ri[dst][:b.n], imm)
 			return nil
 		}
 	case kernel.IConstF:
 		dst, imm := in.Dst, in.FImm
 		return func(_ *worker, b *bstate) error {
-			d := b.rf[dst]
-			if s := b.sel; s != nil {
-				for _, i := range s {
-					d[i] = imm
-				}
-			} else {
-				for i := 0; i < b.n; i++ {
-					d[i] = imm
-				}
-			}
+			fill(b.rf[dst][:b.n], imm)
 			return nil
 		}
 	case kernel.IMov:
@@ -821,6 +914,8 @@ func compilePrim(in kernel.Instr) batchPrim {
 		}
 	case kernel.ILoad:
 		return primLoad(in)
+	case kernel.ILoadLoc:
+		return primLoadLoc(in)
 	case kernel.ILoadValid:
 		return primLoadValid(in)
 	case kernel.IStore:
@@ -857,6 +952,16 @@ func compilePrim(in kernel.Instr) batchPrim {
 		}
 	}
 	return nil
+}
+
+// fill sets every element of d to v. A constant primitive fills every
+// lane of the batch, selected or not: no column holds a value another
+// lane still needs outside the constant's live range, and a straight fill
+// beats a scatter through the selection.
+func fill[T int64 | float64](d []T, v T) {
+	for i := range d {
+		d[i] = v
+	}
 }
 
 // primBinI compiles an integer IBin. The hot arithmetic and comparison
@@ -1183,6 +1288,60 @@ func primLoad(in kernel.Instr) batchPrim {
 		w.countSeqAccess(instr, buf, int64(b.active()))
 		return nil
 	}
+}
+
+// primLoadLoc compiles ILoadLoc, the locals gather of a post-loop body.
+// Loads at RegJ over a dense batch read consecutive slots: one range
+// check, then a straight copy.
+func primLoadLoc(in kernel.Instr) batchPrim {
+	dr, ar, flt := in.Dst, in.A, in.Float
+	dense := ar == kernel.RegJ
+	return func(w *worker, b *bstate) error {
+		var err error
+		if flt {
+			err = gatherLoc(b.rf[dr], b.ri[ar], w.locF, int64(w.f.Locals), dense, b)
+		} else {
+			err = gatherLoc(b.ri[dr], b.ri[ar], w.locI, int64(w.f.Locals), dense, b)
+		}
+		if err != nil {
+			return err
+		}
+		if w.count {
+			w.stats.LocalOps += int64(b.active())
+		}
+		return nil
+	}
+}
+
+// gatherLoc sets d[i] = loc[a[i]] over the active lanes of b, failing like
+// the interpreter on the first index outside the size slots. dense marks
+// a column ascending by one from a[0].
+func gatherLoc[T int64 | float64](d []T, a []int64, loc []T, size int64, dense bool, b *bstate) error {
+	if dense && b.sel == nil && b.n > 0 && a[0] >= 0 && a[b.n-1] < size {
+		copy(d[:b.n], loc[a[0]:a[0]+int64(b.n)])
+		return nil
+	}
+	get := func(ix int64) (T, error) {
+		if ix < 0 || ix >= size {
+			return 0, fmt.Errorf("local load out of bounds: idx %d size %d", ix, size)
+		}
+		return loc[ix], nil
+	}
+	var err error
+	if s := b.sel; s != nil {
+		for _, i := range s {
+			if d[i], err = get(a[i]); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	for i := 0; i < b.n; i++ {
+		if d[i], err = get(a[i]); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // primLoadValid compiles ILoadValid: out-of-bounds probes yield 0, maskless

@@ -350,7 +350,7 @@ func TestSpecializeBatchEligibility(t *testing.T) {
 	}
 
 	multi := foldKernel(64, 4, kernel.BAdd, false).Frags[0]
-	if bp, why := compileBatch(multi); bp == nil || bp.span != multi.Intent || len(bp.carried) != 1 {
+	if bp, why := compileBatch(multi); bp == nil || bp.span != multi.Intent || len(bp.steps) != 1 {
 		t.Errorf("multi-iteration blocked fold should batch with its accumulator carried (%q)", why)
 	}
 }
@@ -723,75 +723,101 @@ func TestInterpretedReasonSeries(t *testing.T) {
 // TestLightRunsKeepUntracedPaths: a light (traced) run of a fragment whose
 // batch counts are inexact takes the batch path an uncounted run takes
 // and still reports the order-independent counts; a full counted run
-// interprets it, naming the reason.
+// interprets it, naming the reason. The shapes are a cursor filter and a
+// grouped sum/count, min and max with its post-loop flush.
 func TestLightRunsKeepUntracedPaths(t *testing.T) {
 	n := 3000
-	k := cursorKernel(n, 51, 59, 40)
-	run := func(fs *FragStats) *Env {
-		env := NewEnv(k)
-		if err := env.Bind(k, "in", &Buffer{Kind: vector.Int, I: seqInts(n)}); err != nil {
-			t.Fatal(err)
+	agg := aggSpec{n: n, extent: 7, groups: 5, flt: true, gather: true}
+	for _, tc := range []struct {
+		name string
+		k    *kernel.Kernel
+		in   map[string]*Buffer
+	}{
+		{"cursor", cursorKernel(n, 51, 59, 40), map[string]*Buffer{"in": {Kind: vector.Int, I: seqInts(n)}}},
+		{"grouped", aggKernel(agg), aggInputs(n, agg.groups, agg.flt)},
+	} {
+		k := tc.k
+		run := func(fs *FragStats) *Env {
+			env := NewEnv(k)
+			for name, buf := range tc.in {
+				if err := env.Bind(k, name, buf); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := RunFragmentPar(context.Background(), k.Frags[0], env, Par{Workers: 1}, fs); err != nil {
+				t.Fatal(err)
+			}
+			return env
 		}
-		if err := RunFragmentPar(context.Background(), k.Frags[0], env, Par{Workers: 1}, fs); err != nil {
-			t.Fatal(err)
+		light, full := FragStats{Light: true}, FragStats{}
+		got, want := run(&light), run(&full)
+		requireSameBufs(t, k, want, got, tc.name+": light vs counted")
+		if light.Specialized != "batch" || light.Fallback != "" {
+			t.Errorf("%s: light run took %q (%q), want batch", tc.name, light.Specialized, light.Fallback)
 		}
-		return env
-	}
-	light, full := FragStats{Light: true}, FragStats{}
-	got, want := run(&light), run(&full)
-	requireSameBufs(t, k, want, got, "light vs counted")
-	if light.Specialized != "batch" || light.Fallback != "" {
-		t.Errorf("light run took %q (%q), want batch", light.Specialized, light.Fallback)
-	}
-	if full.Specialized != "interp" || full.Fallback != FallbackCounted {
-		t.Errorf("counted run took %q (%q), want interp (counted)", full.Specialized, full.Fallback)
-	}
-	if light.Items != full.Items || light.StoreBytes != full.StoreBytes || light.IntOps != full.IntOps ||
-		light.Guards != full.Guards || light.GuardsPass != full.GuardsPass {
-		t.Errorf("order-independent counts diverged:\nlight: %+v\nfull:  %+v", light, full)
-	}
-	if light.RandAccesses != 0 || light.NearAccesses != 0 {
-		t.Errorf("light run classified random accesses: rand %d near %d", light.RandAccesses, light.NearAccesses)
+		if full.Specialized != "interp" || full.Fallback != FallbackCounted {
+			t.Errorf("%s: counted run took %q (%q), want interp (counted)", tc.name, full.Specialized, full.Fallback)
+		}
+		if light.Items != full.Items || light.StoreBytes != full.StoreBytes || light.IntOps != full.IntOps ||
+			light.FloatOps != full.FloatOps || light.LocalOps != full.LocalOps ||
+			light.Guards != full.Guards || light.GuardsPass != full.GuardsPass {
+			t.Errorf("%s: order-independent counts diverged:\nlight: %+v\nfull:  %+v", tc.name, light, full)
+		}
+		if light.RandAccesses != 0 || light.NearAccesses != 0 {
+			t.Errorf("%s: light run classified random accesses: rand %d near %d", tc.name, light.RandAccesses, light.NearAccesses)
+		}
 	}
 }
 
 // TestSplitCountedRunsMatchInterpreter: a split fragment whose accesses
 // are all sequential takes the batch path even on a full counted run, and
-// every event count — lane primitives plus the carried phase's
-// interpreted instructions — matches the interpreter's exactly.
+// every event count — lane primitives, the compiled carried steps and the
+// batched post-loop flush — matches the interpreter's exactly, for a
+// grouped sum with a guarded count and for a grouped sum/count, min and
+// max in both files.
 func TestSplitCountedRunsMatchInterpreter(t *testing.T) {
 	n := 3000
 	grp, val := &Buffer{Kind: vector.Int, I: make([]int64, n)}, &Buffer{Kind: vector.Float, F: make([]float64, n)}
 	for i := range grp.I {
 		grp.I[i], val.F[i] = int64(i%5), float64(i%13)-4.5
 	}
-	k := groupKernel(n, 7, 429, 5)
-	run := func(spec SpecMode) FragStats {
-		env := NewEnv(k)
-		if err := env.Bind(k, "grp", grp); err != nil {
-			t.Fatal(err)
+	fltAgg, intAgg := aggSpec{n: n, extent: 7, groups: 5, flt: true}, aggSpec{n: n, extent: 7, groups: 5}
+	for _, tc := range []struct {
+		name string
+		k    *kernel.Kernel
+		in   map[string]*Buffer
+	}{
+		{"sum-guarded-count", groupKernel(n, 7, 429, 5), map[string]*Buffer{"grp": grp, "val": val}},
+		{"float-min-max", aggKernel(fltAgg), aggInputs(n, fltAgg.groups, true)},
+		{"int-min-max", aggKernel(intAgg), aggInputs(n, intAgg.groups, false)},
+	} {
+		k := tc.k
+		run := func(spec SpecMode) FragStats {
+			env := NewEnv(k)
+			for name, buf := range tc.in {
+				if err := env.Bind(k, name, buf); err != nil {
+					t.Fatal(err)
+				}
+			}
+			var st Stats
+			if err := RunPar(k, env, Par{Workers: 2, Morsel: 3, Spec: spec}, &st); err != nil {
+				t.Fatal(err)
+			}
+			return st.Frags[0]
 		}
-		if err := env.Bind(k, "val", val); err != nil {
-			t.Fatal(err)
+		want, got := run(SpecializeOff), run(SpecializeBatchOnly)
+		if got.Specialized != "batch" {
+			t.Fatalf("%s: counted all-sequential grouped fold ran %q (%q), want batch", tc.name, got.Specialized, got.Fallback)
 		}
-		var st Stats
-		if err := RunPar(k, env, Par{Workers: 2, Morsel: 3, Spec: spec}, &st); err != nil {
-			t.Fatal(err)
+		type counts struct {
+			Items, StoreBytes, IntOps, FloatOps, SeqBytes, Rand, Near, Guards, GuardsPass, LocalOps int64
 		}
-		return st.Frags[0]
-	}
-	want, got := run(SpecializeOff), run(SpecializeBatchOnly)
-	if got.Specialized != "batch" {
-		t.Fatalf("counted all-sequential grouped fold ran %q (%q), want batch", got.Specialized, got.Fallback)
-	}
-	type counts struct {
-		Items, StoreBytes, IntOps, FloatOps, SeqBytes, Rand, Near, Guards, GuardsPass, LocalOps int64
-	}
-	c := func(fs FragStats) counts {
-		return counts{fs.Items, fs.StoreBytes, fs.IntOps, fs.FloatOps, fs.SeqBytes,
-			fs.RandAccesses, fs.NearAccesses, fs.Guards, fs.GuardsPass, fs.LocalOps}
-	}
-	if c(want) != c(got) {
-		t.Errorf("event counts diverged:\ninterp: %+v\nbatch:  %+v", c(want), c(got))
+		c := func(fs FragStats) counts {
+			return counts{fs.Items, fs.StoreBytes, fs.IntOps, fs.FloatOps, fs.SeqBytes,
+				fs.RandAccesses, fs.NearAccesses, fs.Guards, fs.GuardsPass, fs.LocalOps}
+		}
+		if c(want) != c(got) {
+			t.Errorf("%s: event counts diverged:\ninterp: %+v\nbatch:  %+v", tc.name, c(want), c(got))
+		}
 	}
 }

@@ -219,6 +219,9 @@ func (t *Trace) String() string {
 		}
 		if s.Items > 0 {
 			fmt.Fprintf(&sb, " items=%d", s.Items)
+			if s.Kind == KindFragment {
+				fmt.Fprintf(&sb, " ns/item=%.1f", float64(s.WallNS)/float64(s.Items))
+			}
 		}
 		if s.MaterializedBytes > 0 {
 			fmt.Fprintf(&sb, " mat=%dB", s.MaterializedBytes)

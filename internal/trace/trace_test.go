@@ -123,6 +123,26 @@ func TestStringShowsFallback(t *testing.T) {
 	}
 }
 
+// TestStringShowsNsPerItem: EXPLAIN ANALYZE gives every fragment that ran
+// items its wall time per item, and leaves it off bulk steps and
+// fragments that ran none.
+func TestStringShowsNsPerItem(t *testing.T) {
+	tr := &Trace{Backend: "compiled"}
+	tr.Add(Step{Kind: KindFragment, Name: "gfold_9", Specialized: "batch", WallNS: 5000, Items: 400})
+	tr.Add(Step{Kind: KindFragment, Name: "mat_1", Specialized: "batch", WallNS: 700})
+	tr.Add(Step{Kind: KindBulk, Name: "Scatter", WallNS: 900, Items: 50})
+	tr.Finish(time.Millisecond)
+	lines := strings.Split(tr.String(), "\n")
+	if !strings.Contains(lines[1], "items=400 ns/item=12.5") {
+		t.Errorf("fragment step lacks ns/item: %q", lines[1])
+	}
+	for _, l := range lines[2:4] {
+		if strings.Contains(l, "ns/item") {
+			t.Errorf("ns/item on a step without fragment items: %q", l)
+		}
+	}
+}
+
 func TestJSONRoundTrip(t *testing.T) {
 	tr := &Trace{Backend: "interpreted"}
 	tr.Add(Step{Kind: KindStmt, Name: "FoldSum", Stmts: []int{7}, Items: 3})

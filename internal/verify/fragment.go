@@ -404,9 +404,11 @@ var Reasons = []string{
 // instruction that touches locals, reads a register before the body
 // defines it (a loop-carried read), or reads or defines a register another
 // carried instruction defines — runs element-major, lane after lane in
-// index order, through the interpreter, together with Pre, Post and the
-// post-loop body at work-item boundaries. Results therefore stay
-// bit-identical to the interpreter's.
+// index order, as compiled steps that read lane registers straight from
+// their columns and keep carried registers in the scalar register file;
+// Pre, Post and the post-loop body run at work-item boundaries, the
+// post-loop body as batch primitives over its slots when PostLanes holds.
+// Results therefore stay bit-identical to the interpreter's.
 type Facts struct {
 	// BatchEligible reports whether the fragment can run as a batch.
 	BatchEligible bool
@@ -436,11 +438,16 @@ type Facts struct {
 	Carried    []int
 	Level      []int
 	LaneGuards int
-	// ImportI/ImportF list the lane registers the carried slice reads,
-	// copied from the lane columns into the scalar register file before
-	// each lane's carried instructions run.
+	// ImportI/ImportF list the lane registers the carried slice reads;
+	// carried steps bind those operands to the registers' lane columns.
 	ImportI []kernel.Reg
 	ImportF []kernel.Reg
+	// PostLanes marks a lane-pure post-loop body: it reads only RegGID,
+	// RegJ and registers it defined earlier in the body, holds no guard
+	// and no locals store, and stores each buffer at most once. Its slots
+	// j ∈ [0, Locals) are then independent lanes, so it runs as batch
+	// primitives over them; any other post-loop body runs slot by slot.
+	PostLanes bool
 }
 
 // ineligible builds the not-eligible result.
@@ -703,6 +710,7 @@ func BatchFacts(f *kernel.Fragment) Facts {
 	}
 
 	fa.BatchEligible, fa.Countable = true, countable
+	fa.PostLanes = f.Locals > 0 && len(f.PostLoopBody) > 0 && postLanePure(f.PostLoopBody, regs, bufs, key)
 	fa.IntRegs = []kernel.Reg{kernel.RegGID, kernel.RegIV, kernel.RegIdx}
 	fa.NRegs = int(kernel.RegIdx) + 1
 	for r := kernel.FirstFree; int(r) < nregs; r++ {
@@ -716,4 +724,39 @@ func BatchFacts(f *kernel.Fragment) Facts {
 		}
 	}
 	return fa
+}
+
+// postLanePure reports whether a post-loop body is lane-pure (see
+// Facts.PostLanes). regs and bufs are BatchFacts' dense tables, reused as
+// scratch once the other rules are done: rSectionDef marks the body's own
+// definitions, and bufs, cleared, its stores.
+func postLanePure(body []kernel.Instr, regs []uint16, bufs []uint8, key func(kernel.Reg, bool) int) bool {
+	for k := range regs {
+		regs[k] &^= rSectionDef
+	}
+	clear(bufs)
+	for _, in := range body {
+		switch in.Op {
+		case kernel.IGuard, kernel.IStoreLoc:
+			return false
+		case kernel.IStore:
+			if bufs[in.Buf] != 0 {
+				return false
+			}
+			bufs[in.Buf] = bStore
+		}
+		us, n := in.Uses()
+		for _, u := range us[:n] {
+			if !u.Float && (u.R == kernel.RegGID || u.R == kernel.RegJ) {
+				continue
+			}
+			if regs[key(u.R, u.Float)]&rSectionDef == 0 {
+				return false
+			}
+		}
+		if r, flt, ok := in.Def(); ok {
+			regs[key(r, flt)] |= rSectionDef
+		}
+	}
+	return true
 }
