@@ -482,12 +482,13 @@ func (ex *executor) runGroupAgg(g rel.GroupAgg, q rel.Query) *rel.Result {
 
 	// HyPer evaluates order-by/limit with a priority queue (paper §5.2):
 	// top-k via a bounded heap, otherwise a full sort.
-	if q.OrderBy != nil && q.Limit > 0 && q.Limit < len(res.Rows) {
+	limit, limited := q.RowLimit()
+	if q.OrderBy != nil && limit > 0 && limit < len(res.Rows) {
 		h := &rowHeap{less: q.OrderBy}
 		for _, r := range res.Rows {
 			fs.IntOps += 8 // heap maintenance ~ log k comparisons
 			heap.Push(h, r)
-			if h.Len() > q.Limit {
+			if h.Len() > limit {
 				heap.Pop(h)
 			}
 		}
@@ -498,9 +499,9 @@ func (ex *executor) runGroupAgg(g rel.GroupAgg, q rel.Query) *rel.Result {
 		res.Rows = sorted
 	} else if q.OrderBy != nil {
 		sort.SliceStable(res.Rows, func(i, j int) bool { return q.OrderBy(res.Rows[i], res.Rows[j]) })
-		if q.Limit > 0 && len(res.Rows) > q.Limit {
-			res.Rows = res.Rows[:q.Limit]
-		}
+	}
+	if limited && len(res.Rows) > limit {
+		res.Rows = res.Rows[:limit]
 	}
 	return res
 }

@@ -84,8 +84,8 @@ func specializeMeasure(k *kernel.Kernel, vals []int64, mode exec.SpecMode) (floa
 // fast path. The measured times land in rep.Medians under "specialize/"
 // keys (skipped by CompareCI — real wall clock, not the deterministic
 // simulated medians) and the returned warnings are advisory, exactly like
-// ScalingCheck: a specialized selection that is not at least 1.5x faster
-// than the interpreter means the batch compiler lost its batching.
+// ScalingCheck: a batch or fused path that is not at least 1.5x faster
+// than the interpreter means the specializer lost its batching.
 func SpecializeCheck(rep *CIReport) []string {
 	const n = 1 << 21
 	vals := make([]int64, n)
@@ -117,10 +117,10 @@ func SpecializeCheck(rep *CIReport) []string {
 		rep.Medians["specialize/"+r.name+"_batch"] = batch
 		rep.Medians["specialize/"+r.name+"_fused"] = fused
 		rep.Medians["specialize/"+r.name+"_speedup"] = interp / fused
-		// The fold fragment has no batch form (its accumulator carries
-		// across iterations), so BatchOnly falls back to the interpreter
-		// there; only the selection gates the batch path.
-		if r.name == "select" && interp/batch < specializeWarnAt {
+		// The fold's batch form runs its accumulator as a scan in the
+		// carried phase (exec/chains.go), so both fragments check the
+		// batch path.
+		if interp/batch < specializeWarnAt {
 			warns = append(warns, fmt.Sprintf(
 				"batch specialization %.2fx on %s (interp %.4fs vs batch %.4fs), want >= %.1fx — the batch compiler may be re-dispatching per element",
 				interp/batch, r.name, interp, batch, specializeWarnAt))

@@ -394,6 +394,7 @@ func (p *Plan) traceStep(s step, frags []exec.FragStats, wall time.Duration) tra
 			ts.Morsels = int64(fs.Morsels)
 			ts.Imbalance = fs.Imbalance
 			ts.Specialized, ts.Fallback = fs.Specialized, fs.Fallback
+			ts.Chains, ts.Scans, ts.SingleChainSegs = fs.Chains, fs.Scans, fs.SingleChainSegs
 			ts.Items = fs.Items
 			ts.MaterializedBytes = fs.StoreBytes
 			ts.IntOps, ts.FloatOps = fs.IntOps, fs.FloatOps

@@ -253,6 +253,24 @@ func mutations() []mutation {
 				}
 				return false
 			}},
+		{"duplicate-carry-update", verify.RuleCarriedRedef, sel,
+			func(p *Plan) bool {
+				// Bump the select's cursor twice per iteration: every
+				// qualifying row then skips an output slot.
+				for _, f := range p.kern.Frags {
+					for li, l := range f.Loops {
+						for i, in := range l.Body {
+							r, _, ok := in.Def()
+							if ok && in.Op == kernel.IBin && in.A == r && readsBeforeDef(l.Body, r) {
+								body := append(append(l.Body[:i+1:i+1], in), l.Body[i+1:]...)
+								f.Loops[li].Body = body
+								return true
+							}
+						}
+					}
+				}
+				return false
+			}},
 		{"buffer-out-of-range", verify.RuleBufRange, sel,
 			func(p *Plan) bool {
 				return eachInstr(p.kern, func(f *kernel.Fragment, in *kernel.Instr) bool {

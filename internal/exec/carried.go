@@ -1,31 +1,38 @@
 // The compiled carried phase of split batch fragments.
 //
-// The carried slice (verify.BatchFacts) runs element-major, lane after lane
-// in index order, because its instructions depend on one another across
-// lanes: locals read-modify-writes, loop-carried folds and position
-// cursors. compileCarried turns it, once per fragment, into a list of
-// carried steps — one closure per instruction, or per fused window of
-// instructions — whose operands are bound at compile time either to a
-// lane column (an import, RegGID, RegIV or RegIdx) or to the scalar
-// register file, which holds every register the slice defines. A step
-// runs the same instructions in the same order as the interpreter, counts
-// the same events and reports the same errors; only the dispatch and the
-// operand fetch change.
+// The carried slice (verify.BatchFacts) holds the instructions that depend
+// on one another across lanes: locals read-modify-writes, loop-carried
+// folds and position cursors. It runs chain-major (chains.go), one
+// work-item segment of a batch at a time: first every scan (verify.Scan)
+// as one prefix-sum loop over the segment's lanes, filling the entry and
+// exit columns its readers use, then every chain (verify.Facts.Chain) as
+// one loop over the segment's lanes of its guard level, chain after chain
+// in the facts' run order. Every locals slot, scan register and stored
+// buffer sees exactly its lane-order sequence of updates, so results stay
+// bit-identical to the interpreter's; only the interleaving between
+// independent chains changes. Chains that touch locals through different
+// index registers commute only if they hit disjoint slots, so a segment
+// first checks the slot interval each such chain's index columns span; if
+// any two overlap, the segment runs lane-major instead, which is the
+// single-chain case of the same runner. A program without per-item state
+// outside its scans runs each scan and chain once per batch
+// (chainProg.flat).
 //
-// The fused windows are the contiguous instruction runs lowering emits for
-// grouped folds (compile/fold.go), each within one guard level:
+// compileChains compiles, once per fragment, each chain of a shape
+// lowering emits into one loop closure — read-modify-write (contiguous or
+// a split load…op-then-store pair), first-value min/max, a carried store
+// or a single lane operation — and any other chain into a loop over its
+// lanes that calls carried steps. Carried registers other chains read get
+// columns, shared by live range over the chain order; every chain writes
+// the registers it defines back to the scalar register file as its last
+// lane leaves them, so Post, the post-loop body and later segments see
+// what lane-major order would leave.
 //
-//   - read-modify-write: x = loc[k]; y = x ⊕ v; loc[k] = y
-//   - op-then-store:     y = x ⊕ v; loc[k] = y (the count half of a
-//     sum/count pair, whose load came earlier)
-//   - first-value:       m = loc[k]; y = m ⊕ v; [c = int(cnt)];
-//     y = c ? y : v; loc[k] = y (min and max)
-//
-// with ⊕ ∈ {add, min, max}. A window reads an input once where the
-// interpreter would re-read it only if the window writes no register that
-// aliases it in between, and it writes every register it defines back to
-// the scalar file in program order, so two folds that hit the same slot in
-// one lane need no disjointness proof.
+// A carried step runs one instruction for one lane. Its operands are bound
+// at compile time to a lane column (an import, RegGID, RegIV or RegIdx),
+// to a carried column (chain-major steps only) or to the scalar register
+// file. A step counts the same events and reports the same errors as the
+// interpreter; compileCarried compiles the lane-major steps.
 //
 // A lane-pure post-loop body (verify.Facts.PostLanes) compiles to batch
 // primitives over its slots j ∈ [0, Locals) instead; see flush.
@@ -38,53 +45,97 @@ import (
 	"voodoo/internal/verify"
 )
 
-// carriedStep runs one carried instruction, or one fused window, for lane
-// i of the current batch.
+// carriedStep runs one carried instruction for lane i of the current
+// batch.
 type carriedStep func(w *worker, b *bstate, i int) error
 
+// Operand kinds: where a carried step reads a register.
+const (
+	opScalar uint8 = iota // the scalar register file
+	opLane                // the register's lane column
+	opCol                 // a carried column (chain-major steps only)
+)
+
 // operand is one register read of a carried step, bound at compile time
-// to the register's lane column or to the scalar register file.
+// to a lane column, a carried column or the scalar register file.
 type operand struct {
 	r    kernel.Reg
-	lane bool
+	kind uint8
+	col  int32
 }
 
 // int reads an integer operand for lane i.
 func (o operand) int(w *worker, b *bstate, i int) int64 {
-	if o.lane {
+	switch o.kind {
+	case opLane:
 		return b.ri[o.r][i]
+	case opCol:
+		return b.ci[o.col][i]
 	}
 	return w.ri[o.r]
 }
 
 // flt reads a float operand for lane i.
 func (o operand) flt(w *worker, b *bstate, i int) float64 {
-	if o.lane {
+	switch o.kind {
+	case opLane:
 		return b.rf[o.r][i]
+	case opCol:
+		return b.cf[o.col][i]
 	}
 	return w.rf[o.r]
+}
+
+// colI returns the column an integer operand reads, or nil for a scalar.
+func (o operand) colI(b *bstate) []int64 {
+	switch o.kind {
+	case opLane:
+		return b.ri[o.r]
+	case opCol:
+		return b.ci[o.col]
+	}
+	return nil
+}
+
+// colF returns the column a float operand reads, or nil for a scalar.
+func (o operand) colF(b *bstate) []float64 {
+	switch o.kind {
+	case opLane:
+		return b.rf[o.r]
+	case opCol:
+		return b.cf[o.col]
+	}
+	return nil
 }
 
 // carriedCompiler binds the operands of one fragment's carried slice.
 type carriedCompiler struct {
 	laneI, laneF []bool // registers read from lane columns, per file
 	locals       int64
+	// cv binds the carried registers of chain-major steps; nil for the
+	// lane-major steps, which keep every carried register in the scalar
+	// file. pos is the carried index of the instruction being compiled.
+	cv  *chainView
+	pos int
 }
 
-// op binds a register read.
-func (c *carriedCompiler) op(r kernel.Reg, flt bool) operand {
-	lane := c.laneI
-	if flt {
-		lane = c.laneF
-	}
-	return operand{r: r, lane: int(r) < len(lane) && lane[r]}
+// chainView is the chain-major binding of carried registers: scan
+// registers read their entry or exit column, registers another chain
+// defines read their carried column, the rest the scalar file.
+type chainView struct {
+	n     int     // register stride of the per-register tables (regKey)
+	owner []int32 // per register: the chain defining it, or -1
+	col   []int32 // per register: its carried column, or -1
+	scan  []int32 // per register: its scan, or -1
+	// Per scan: the carried index of its update and the columns of its
+	// entry and exit values (-1: nothing reads them).
+	at          []int
+	entry, exit []int32
+	chain       int32 // the chain being compiled
 }
 
-// compileCarried compiles the carried slice of f into steps, returning
-// them with prefix, where a lane that passed g lane guards runs
-// steps[:prefix[g]]. It returns nil steps if an instruction has no step
-// (unreachable for fact-eligible fragments: the slice never holds a guard).
-func compileCarried(f *kernel.Fragment, facts verify.Facts) (steps []carriedStep, prefix []int) {
+// newCarriedCompiler binds lane columns for f's carried slice.
+func newCarriedCompiler(f *kernel.Fragment, facts verify.Facts) *carriedCompiler {
 	c := &carriedCompiler{
 		laneI:  make([]bool, max(facts.NRegs, int(kernel.RegIdx)+1)),
 		laneF:  make([]bool, facts.NRegs),
@@ -97,21 +148,53 @@ func compileCarried(f *kernel.Fragment, facts verify.Facts) (steps []carriedStep
 	for _, r := range facts.ImportF {
 		c.laneF[r] = true
 	}
-	body := f.Loops[0].Body
+	return c
+}
+
+// op binds a register read.
+func (c *carriedCompiler) op(r kernel.Reg, flt bool) operand {
+	lane := c.laneI
+	if flt {
+		lane = c.laneF
+	}
+	if int(r) < len(lane) && lane[r] {
+		return operand{r: r, kind: opLane}
+	}
+	if v := c.cv; v != nil && r >= 0 && int(r) < v.n {
+		k := regKey(r, flt, v.n)
+		if s := v.scan[k]; s >= 0 {
+			col := v.exit[s]
+			if c.pos < v.at[s] {
+				col = v.entry[s]
+			}
+			return operand{r: r, kind: opCol, col: col}
+		}
+		if o := v.owner[k]; o >= 0 && o != v.chain {
+			return operand{r: r, kind: opCol, col: v.col[k]}
+		}
+	}
+	return operand{r: r}
+}
+
+// compileCarried compiles the carried slice of f into lane-major steps,
+// returning them with prefix, where a lane that passed g lane guards runs
+// steps[:prefix[g]]. It returns nil steps if an instruction has no step
+// (unreachable for fact-eligible fragments: the slice never holds a guard).
+func compileCarried(f *kernel.Fragment, facts verify.Facts) (steps []carriedStep, prefix []int) {
+	all := make([]int, len(facts.Carried))
+	for p := range all {
+		all[p] = p
+	}
+	return newCarriedCompiler(f, facts).steps(f.Loops[0].Body, facts, all)
+}
+
+// steps compiles the carried instructions at the carried indices members
+// (ascending) into one step each, with their level prefix.
+func (c *carriedCompiler) steps(body []kernel.Instr, facts verify.Facts, members []int) (steps []carriedStep, prefix []int) {
 	prefix = make([]int, facts.LaneGuards+1)
-	for p := 0; p < len(facts.Carried); {
-		// The window candidates: the following carried instructions of the
-		// same guard level (at most five, the longest window).
-		var win [5]kernel.Instr
-		nw := 0
-		for q := p; q < len(facts.Carried) && nw < len(win) && facts.Level[q] == facts.Level[p]; q++ {
-			win[nw] = body[facts.Carried[q]]
-			nw++
-		}
-		s, n := c.window(win[:nw])
-		if s == nil {
-			s, n = c.step(win[0]), 1
-		}
+	for _, p := range members {
+		c.pos = p
+		s := c.step(body[facts.Carried[p]])
 		if s == nil {
 			return nil, nil
 		}
@@ -119,17 +202,27 @@ func compileCarried(f *kernel.Fragment, facts verify.Facts) (steps []carriedStep
 		for g := facts.Level[p]; g < len(prefix); g++ {
 			prefix[g]++
 		}
-		p += n
 	}
 	return steps, prefix
 }
 
-// foldOp reports whether op is a fold operator a window fuses.
+// scanBetween reports whether a scan update lies between carried indices
+// p and q of the chain-major binding.
+func (c *carriedCompiler) scanBetween(p, q int) bool {
+	for _, at := range c.cv.at {
+		if p < at && at < q {
+			return true
+		}
+	}
+	return false
+}
+
+// foldOp reports whether op is a fold operator: add, min or max.
 func foldOp(op kernel.BinOp) bool {
 	return op == kernel.BAdd || op == kernel.BMin || op == kernel.BMax
 }
 
-// fold applies a fused window's operator exactly as ibin/fbin do.
+// fold applies a fold operator exactly as ibin/fbin do.
 func fold[T int64 | float64](op kernel.BinOp, x, v T) T {
 	switch op {
 	case kernel.BAdd:
@@ -138,71 +231,6 @@ func fold[T int64 | float64](op kernel.BinOp, x, v T) T {
 		return min(x, v)
 	}
 	return max(x, v)
-}
-
-// window matches a fused window at the start of win, returning its step
-// and length, or nil. A step reads each free input once; the interpreter
-// re-reads an input at every instruction that uses it, so an input read
-// after a register the window writes must not be that register.
-func (c *carriedCompiler) window(win []kernel.Instr) (carriedStep, int) {
-	// defines reports whether any of ins defines r in the given file.
-	defines := func(ins []kernel.Instr, r kernel.Reg, flt bool) bool {
-		for _, in := range ins {
-			if d, df, ok := in.Def(); ok && d == r && df == flt {
-				return true
-			}
-		}
-		return false
-	}
-	isFold := func(in kernel.Instr, flt bool) bool {
-		return in.Op == kernel.IBin && in.Float == flt && foldOp(in.BOp)
-	}
-	isStoreLoc := func(in kernel.Instr, k, y kernel.Reg, flt bool) bool {
-		return in.Op == kernel.IStoreLoc && in.A == k && in.B == y && in.Float == flt
-	}
-	if len(win) < 2 {
-		return nil, 0
-	}
-	ld, bin := win[0], win[1]
-	if ld.Op != kernel.ILoadLoc || !isFold(bin, ld.Float) || bin.A != ld.Dst {
-		// Op-then-store: every input is read where the interpreter reads
-		// it, so registers may alias freely.
-		if isFold(ld, ld.Float) && isStoreLoc(bin, bin.A, ld.Dst, ld.Float) {
-			return c.opStore(ld, bin.A), 2
-		}
-		return nil, 0
-	}
-	k, v, y, t := ld.A, bin.B, bin.Dst, ld.Float
-	// Read-modify-write: v is read after x is written, as in the
-	// interpreter; only k is reused at the store.
-	if len(win) >= 3 && isStoreLoc(win[2], k, y, t) && !defines(win[:3], k, false) {
-		return c.rmw(ld, bin), 3
-	}
-	if bin.BOp == kernel.BAdd {
-		return nil, 0
-	}
-	// First-value min/max: [c = int(cnt)]; y = c ? y : v; loc[k] = y.
-	// Float locals cast a float count; integer locals test it directly.
-	n, cast, cond := 2, false, kernel.NoReg
-	var cnt kernel.Reg
-	if t && len(win) > n && win[n].Op == kernel.ICastFI {
-		cast, cnt, cond = true, win[n].A, win[n].Dst
-		n++
-	}
-	if len(win) < n+2 {
-		return nil, 0
-	}
-	sel, st := win[n], win[n+1]
-	if !cast {
-		cond = sel.A
-	}
-	n += 2
-	if sel.Op != kernel.ISel || sel.Float != t || sel.Dst != y || sel.A != cond || sel.B != y || sel.C != v ||
-		!isStoreLoc(st, k, y, t) || defines(win[:n], k, false) || defines(win[:n], v, t) ||
-		cast && defines(win[:n], cnt, true) || !cast && defines(win[:n], cond, false) {
-		return nil, 0
-	}
-	return c.firstValue(ld, bin, cast, cnt, cond), n
 }
 
 // badLocal reports a locals index outside the scratch array.
@@ -214,147 +242,6 @@ func (c *carriedCompiler) localErr(k int64, store bool) error {
 		return fmt.Errorf("local store out of bounds: idx %d size %d", k, c.locals)
 	}
 	return fmt.Errorf("local load out of bounds: idx %d size %d", k, c.locals)
-}
-
-// rmw fuses x = loc[k]; y = x ⊕ v; loc[k] = y.
-func (c *carriedCompiler) rmw(ld, bin kernel.Instr) carriedStep {
-	k, v := c.op(ld.A, false), c.op(bin.B, ld.Float)
-	x, y, op := ld.Dst, bin.Dst, bin.BOp
-	if ld.Float {
-		return func(w *worker, b *bstate, i int) error {
-			ix := k.int(w, b, i)
-			if c.badLocal(ix) {
-				return c.localErr(ix, false)
-			}
-			old := w.locF[ix]
-			w.rf[x] = old
-			nv := fold(op, old, v.flt(w, b, i))
-			w.rf[y] = nv
-			w.locF[ix] = nv
-			if w.count {
-				w.stats.LocalOps += 2
-				w.stats.FloatOps++
-			}
-			return nil
-		}
-	}
-	return func(w *worker, b *bstate, i int) error {
-		ix := k.int(w, b, i)
-		if c.badLocal(ix) {
-			return c.localErr(ix, false)
-		}
-		old := w.locI[ix]
-		w.ri[x] = old
-		nv := fold(op, old, v.int(w, b, i))
-		w.ri[y] = nv
-		w.locI[ix] = nv
-		if w.count {
-			w.stats.LocalOps += 2
-			w.stats.IntOps++
-		}
-		return nil
-	}
-}
-
-// opStore fuses y = x ⊕ v; loc[k] = y.
-func (c *carriedCompiler) opStore(bin kernel.Instr, kr kernel.Reg) carriedStep {
-	x, v, k := c.op(bin.A, bin.Float), c.op(bin.B, bin.Float), c.op(kr, false)
-	y, op := bin.Dst, bin.BOp
-	if bin.Float {
-		return func(w *worker, b *bstate, i int) error {
-			nv := fold(op, x.flt(w, b, i), v.flt(w, b, i))
-			w.rf[y] = nv
-			if w.count {
-				w.stats.FloatOps++
-			}
-			ix := k.int(w, b, i)
-			if c.badLocal(ix) {
-				return c.localErr(ix, true)
-			}
-			w.locF[ix] = nv
-			if w.count {
-				w.stats.LocalOps++
-			}
-			return nil
-		}
-	}
-	return func(w *worker, b *bstate, i int) error {
-		nv := fold(op, x.int(w, b, i), v.int(w, b, i))
-		w.ri[y] = nv
-		if w.count {
-			w.stats.IntOps++
-		}
-		ix := k.int(w, b, i)
-		if c.badLocal(ix) {
-			return c.localErr(ix, true)
-		}
-		w.locI[ix] = nv
-		if w.count {
-			w.stats.LocalOps++
-		}
-		return nil
-	}
-}
-
-// firstValue fuses the first-value min/max window m = loc[k]; y = m ⊕ v;
-// [c = int(cnt)]; y = c ? y : v; loc[k] = y. Without the cast the select
-// tests cond directly.
-func (c *carriedCompiler) firstValue(ld, bin kernel.Instr, cast bool, cnt, cond kernel.Reg) carriedStep {
-	k, v := c.op(ld.A, false), c.op(bin.B, ld.Float)
-	m, y, op := ld.Dst, bin.Dst, bin.BOp
-	cn, cd := c.op(cnt, true), c.op(cond, false)
-	if ld.Float {
-		return func(w *worker, b *bstate, i int) error {
-			ix := k.int(w, b, i)
-			if c.badLocal(ix) {
-				return c.localErr(ix, false)
-			}
-			old := w.locF[ix]
-			w.rf[m] = old
-			val := v.flt(w, b, i)
-			nv := fold(op, old, val)
-			w.rf[y] = nv
-			var ci int64
-			if cast {
-				ci = int64(cn.flt(w, b, i))
-				w.ri[cond] = ci
-			} else {
-				ci = cd.int(w, b, i)
-			}
-			if ci == 0 {
-				nv = val
-			}
-			w.rf[y] = nv
-			w.locF[ix] = nv
-			if w.count {
-				w.stats.LocalOps += 2
-				w.stats.FloatOps++
-				w.stats.IntOps++
-			}
-			return nil
-		}
-	}
-	return func(w *worker, b *bstate, i int) error {
-		ix := k.int(w, b, i)
-		if c.badLocal(ix) {
-			return c.localErr(ix, false)
-		}
-		old := w.locI[ix]
-		w.ri[m] = old
-		val := v.int(w, b, i)
-		nv := fold(op, old, val)
-		w.ri[y] = nv
-		if cd.int(w, b, i) == 0 {
-			nv = val
-		}
-		w.ri[y] = nv
-		w.locI[ix] = nv
-		if w.count {
-			w.stats.LocalOps += 2
-			w.stats.IntOps += 2
-		}
-		return nil
-	}
 }
 
 // step compiles one carried instruction, or returns nil for a guard.

@@ -22,8 +22,8 @@ type aggSpec struct {
 
 // aggKernel is the TPC-H grouped-aggregation shape as lowering emits it
 // (compile/fold.go): per group g a sum/count pair (a plain count load, a
-// read-modify-write window and an op-then-store window) and a first-value
-// min and max (plain count load, first-value window, op-then-store),
+// read-modify-write run and an op-then-store run) and a first-value min
+// and max (plain count load, first-value run, op-then-store),
 // flushed by a post-loop body into per-work-item partials. Locals hold 6
 // slots per group: sum, count, min, min count, max, max count.
 func aggKernel(s aggSpec) *kernel.Kernel {
@@ -154,9 +154,10 @@ func aggInputs(n, groups int, flt bool) map[string]*Buffer {
 }
 
 // TestSplitCarriedWindows pins the compiled carried phase on the grouped
-// aggregation shape: the windows fuse as lowering emits them, a lane-pure
-// post-loop body compiles to primitives while any other stays on per-slot
-// interpretation, and every variant matches the interpreter bit for bit
+// aggregation shape: the instruction runs lowering emits (read-modify-write,
+// op-then-store, first-value) become one chain per aggregate slot, a
+// lane-pure post-loop body compiles to primitives while any other stays on
+// per-slot interpretation, and every variant matches the interpreter bit for bit
 // (or by error text) at every morsel size and worker count, twice each.
 func TestSplitCarriedWindows(t *testing.T) {
 	bad := func(s aggSpec, g int64) map[string]*Buffer {
@@ -196,10 +197,14 @@ func TestSplitCarriedWindows(t *testing.T) {
 			if bp == nil || !bp.split {
 				t.Fatalf("shape should batch with a carried phase (reason %q)", why)
 			}
-			// Per group: count load, read-modify-write, op-then-store, then
-			// twice count load, first-value, op-then-store.
-			if got := len(bp.steps); got != 9 {
-				t.Errorf("%d carried steps, want 9 (windows not fused)", got)
+			// Per group: the sum, its count, and twice a first-value
+			// extreme and its count, plus for floats the count's cast.
+			chains := 6
+			if tc.spec.flt {
+				chains = 8
+			}
+			if bp.chains == nil || bp.nChains != chains {
+				t.Errorf("%d chains (chain-major %v), want %d", bp.nChains, bp.chains != nil, chains)
 			}
 			if (bp.post != nil) == tc.spec.impure {
 				t.Errorf("post-loop body compiled = %v, want %v", bp.post != nil, !tc.spec.impure)

@@ -324,6 +324,13 @@ type FragStats struct {
 	// "first-run" (see resolveSpec).
 	Specialized string
 	Fallback    string
+	// Chains and Scans describe how a batch run of a split fragment ran
+	// its carried phase (set by RunFragmentPar): its chain and scan
+	// counts (verify.Facts). SingleChainSegs counts the work-item
+	// segments that ran lane-major because two chains' locals slot
+	// intervals overlapped.
+	Chains, Scans   int
+	SingleChainSegs int64
 
 	// Light, set by the caller before the run, limits counting to what
 	// does not depend on execution order — wall time, path, items,
@@ -379,6 +386,7 @@ func (fs *FragStats) merge(o *FragStats) {
 	fs.Guards += o.Guards
 	fs.GuardsPass += o.GuardsPass
 	fs.LocalOps += o.LocalOps
+	fs.SingleChainSegs += o.SingleChainSegs
 	fs.StaticIntOps = max(fs.StaticIntOps, o.StaticIntOps)
 	fs.StaticFloatOps = max(fs.StaticFloatOps, o.StaticFloatOps)
 	for k, v := range o.RandByBuf {
@@ -504,6 +512,9 @@ func RunFragmentPar(ctx context.Context, f *kernel.Fragment, env *Env, par Par, 
 	spec, path, fallback := resolveSpec(f, par.Spec, fs != nil && !fs.Light, faultinject.Enabled())
 	if fs != nil {
 		fs.Specialized, fs.Fallback = path, fallback
+		if bp := spec.batch; bp != nil && bp.split {
+			fs.Chains, fs.Scans = bp.nChains, bp.nScans
+		}
 	}
 	if f.Sequential() || par.Workers == 1 {
 		w := newWorker(ctx, f, env, nregs, fs != nil, nil, spec)
@@ -654,6 +665,15 @@ type scratch struct {
 	blvl   []int32
 	bri    [][]int64
 	brf    [][]float64
+	// The chain-major carried phase's carried-column tables, per-level
+	// lane lists and segment state (see chains.go).
+	bci    [][]int64
+	bcf    [][]float64
+	blanes [][]int32
+	bseg   [][]int32
+	bcur   []int
+	blists []int32
+	biv    [][2]int64
 }
 
 // grow returns a slice of exactly n elements backed by *buf, reusing its
@@ -699,6 +719,9 @@ func (s *scratch) floatSlice(which *[]float64, n int) []float64 {
 func (w *worker) release() {
 	if w.scratch == nil {
 		return
+	}
+	if n := w.stats.SingleChainSegs; n > 0 {
+		singleChainC.Add(n)
 	}
 	scratchPool.Put(w.scratch)
 	w.scratch = nil

@@ -13,10 +13,11 @@
 //     compacting a selection mask, so predication never branches on data
 //     inside a primitive. Loop-carried state — folds, position cursors,
 //     grouped scratch arrays — lives in the carried slice
-//     (verify.BatchFacts), which runs after the primitives lane by lane in
-//     index order as compiled carried steps (carried.go), with Pre and
-//     Post at work-item boundaries and a lane-pure post-loop body as
-//     primitives over its slots.
+//     (verify.BatchFacts), which runs after the primitives chain-major:
+//     prefix-sum scans, then one loop per chain of instructions sharing
+//     cross-lane state (chains.go, carried.go), with Pre and Post at
+//     work-item boundaries and a lane-pure post-loop body as primitives
+//     over its slots.
 //   - fused fast paths: single hand-fused closures for the hottest shapes
 //     mined from TPC-H traces — load→compare→guard→store selection,
 //     load→arith→store maps, and the FoldSum/FoldMin/FoldMax accumulate
@@ -51,6 +52,7 @@ package exec
 import (
 	"fmt"
 	"math"
+	"sync"
 	"sync/atomic"
 
 	"voodoo/internal/kernel"
@@ -112,6 +114,9 @@ var (
 		}
 		return m
 	}()
+
+	singleChainC = metrics.NewCounter("voodoo_carried_single_chain_segments_total",
+		"Work-item segments of batch fragments whose carried phase ran lane-major because two chains' locals slot intervals overlapped.")
 )
 
 // specBatchN is the lane count of one register-column batch. It equals
@@ -267,17 +272,36 @@ type batchProg struct {
 	countable bool
 	// consts are the hoisted lane constants, filled by attachBatch.
 	consts []constCol
+	// readsIdx and readsGIV report whether the loop body reads RegIdx
+	// other than as a load or store index, and RegGID or RegIV: runLanes
+	// fills only the special columns something reads, and memory
+	// primitives fill RegIdx's column on demand (bstate.fillIdx).
+	readsIdx, readsGIV bool
 
 	// split marks a carried phase. steps is the compiled carried slice in
-	// body order; a lane that passed g lane guards runs
-	// steps[:prefix[g]]. guards is the number of lane guards (lanes
-	// passing all of them have level guards). post is the lane-pure
-	// post-loop body (nil: none, or interpreted slot by slot).
-	split  bool
-	steps  []carriedStep
-	prefix []int
-	guards int
-	post   *postProg
+	// body order, run lane-major (laneSteps); a lane that passed g lane
+	// guards runs steps[:prefix[g]]. chains is its chain-major form (nil:
+	// the slice is one chain without scans, which runs lane-major), and
+	// nChains and nScans its chain and scan counts. guards is the number
+	// of lane guards (lanes passing all of them have level guards). post
+	// is the lane-pure post-loop body (nil: none, or interpreted slot by
+	// slot).
+	split           bool
+	steps           []carriedStep
+	prefix          []int
+	stepsOnce       sync.Once
+	compileSteps    func()
+	chains          *chainProg
+	nChains, nScans int
+	guards          int
+	post            *postProg
+}
+
+// laneSteps returns the lane-major carried steps and their level prefix,
+// compiling them on first use.
+func (bp *batchProg) laneSteps() ([]carriedStep, []int) {
+	bp.stepsOnce.Do(bp.compileSteps)
+	return bp.steps, bp.prefix
 }
 
 // bstate is a worker's per-batch register-column state. Columns live in
@@ -287,6 +311,11 @@ type batchProg struct {
 // programs). item is the work item whose carried state is open (-1:
 // none); while its closing fails it stays open, naming the item to
 // replay.
+//
+// The chain-major carried phase adds the carried columns ci/cf, the lanes
+// of each guard level above 0 with a cursor per level, the current
+// segment's lanes per level, and the slot-interval scratch of the
+// disjointness check.
 type bstate struct {
 	n      int
 	sel    []int32
@@ -295,6 +324,44 @@ type bstate struct {
 	ri     [][]int64
 	rf     [][]float64
 	item   int
+	ci     [][]int64
+	cf     [][]float64
+	lanes  [][]int32
+	cur    []int
+	seg    [][]int32
+	iv     [][2]int64
+	// base is the batch's first global index; idxFilled reports that the
+	// RegIdx column holds base+i (see fillIdx).
+	base      int
+	idxFilled bool
+	finI      []int64
+	finF      []float64
+}
+
+// fillIdx fills the RegIdx column of the batch's first n lanes, once.
+func (b *bstate) fillIdx(n int) {
+	if b.idxFilled {
+		return
+	}
+	idxc := b.ri[kernel.RegIdx][:n]
+	for i := range idxc {
+		idxc[i] = int64(b.base + i)
+	}
+	b.idxFilled = true
+}
+
+// dense reports whether the batch's index column a of register ar holds
+// the consecutive in-range indexes base, base+1, … of a buffer of
+// length ln over all lanes, filling RegIdx's column otherwise.
+func (b *bstate) dense(ar kernel.Reg, ln int64) bool {
+	if ar != kernel.RegIdx {
+		return false
+	}
+	if b.sel == nil && int64(b.base+b.n) <= ln {
+		return true
+	}
+	b.fillIdx(b.n)
+	return false
 }
 
 // active returns the live lane count of the batch.
@@ -332,13 +399,34 @@ func compileBatch(f *kernel.Fragment) (*batchProg, string) {
 	bp.colI, bp.colF, bp.nColI, bp.nColF = assignColumns(f, carried, facts, hoist, consts)
 	bp.consts = consts
 	if bp.split {
-		// Unreachable failures, as for the lane side below.
-		if bp.steps, bp.prefix = compileCarried(f, facts); bp.prefix == nil {
-			return nil, verify.ReasonOpcode
+		bp.chains, bp.nChains, bp.nScans = compileChains(f, facts), facts.Chains, len(facts.Scans)
+		// A chain-major program needs its lane-major steps only for a
+		// segment whose slot intervals overlap: compile them then.
+		bp.compileSteps = func() { bp.steps, bp.prefix = compileCarried(f, facts) }
+		if bp.chains == nil {
+			// Unreachable failures, as for the lane side below.
+			if bp.laneSteps(); bp.prefix == nil {
+				return nil, verify.ReasonOpcode
+			}
 		}
 		if facts.PostLanes {
 			if bp.post = compilePost(f); bp.post == nil {
 				return nil, verify.ReasonOpcode
+			}
+		}
+	}
+	for li, l := range f.Loops {
+		for i, in := range l.Body {
+			us, n := in.Uses()
+			for k, u := range us[:n] {
+				if u.Float {
+					continue
+				}
+				// Uses lists a load's or store's index first.
+				memIdx := k == 0 && !(li == 0 && carried[i]) &&
+					(in.Op == kernel.ILoad || in.Op == kernel.ILoadValid || in.Op == kernel.IStore)
+				bp.readsIdx = bp.readsIdx || u.R == kernel.RegIdx && !memIdx
+				bp.readsGIV = bp.readsGIV || u.R == kernel.RegGID || u.R == kernel.RegIV
 			}
 		}
 	}
@@ -541,8 +629,14 @@ func (w *worker) attachBatch(bp *batchProg) {
 	if pp := bp.post; pp != nil {
 		pw, pregs, pI, pF = pp.width, len(pp.colI), pp.nColI, pp.nColF
 	}
-	ints := grow(&sc.bcols, bp.nColI*wd+pI*pw)
-	flts := grow(&sc.bfcols, bp.nColF*wd+pF*pw)
+	// The chain-major carried phase's columns and per-item scan finals
+	// follow the lane and post-loop columns.
+	cI, cF, finI, finF := 0, 0, 0, 0
+	if cp := bp.chains; cp != nil {
+		cI, cF, finI, finF = cp.nColI, cp.nColF, cp.nFinI, cp.nFinF
+	}
+	ints := grow(&sc.bcols, bp.nColI*wd+pI*pw+cI*wd+finI)
+	flts := grow(&sc.bfcols, bp.nColF*wd+pF*pw+cF*wd+finF)
 	if cap(sc.bri) < nregs+pregs {
 		sc.bri = make([][]int64, nregs+pregs)
 		sc.brf = make([][]float64, nregs+pregs)
@@ -577,12 +671,47 @@ func (w *worker) attachBatch(bp *batchProg) {
 	if cap(sc.blvl) < wd {
 		sc.blvl = make([]int32, wd)
 	}
+	if bp.guards == 0 {
+		// Without lane guards every lane stays at level 0.
+		clear(sc.blvl[:wd])
+	}
 	w.bst = bstate{ri: sc.bri[:nregs], rf: sc.brf[:nregs], selBuf: sc.bsel[:0], lvl: sc.blvl[:cap(sc.blvl)], item: -1}
 	if pp := bp.post; pp != nil {
 		pri, prf := sc.bri[nregs:], sc.brf[nregs:]
 		wire(pri, prf, pp.colI, pp.colF, ints[bp.nColI*wd:], flts[bp.nColF*wd:], pw)
 		w.pst = bstate{ri: pri, rf: prf}
 	}
+	if cp := bp.chains; cp != nil {
+		ci, cf := ints[bp.nColI*wd+pI*pw:], flts[bp.nColF*wd+pF*pw:]
+		b := &w.bst
+		b.ci, b.cf = resize(&sc.bci, cI), resize(&sc.bcf, cF)
+		for c := range b.ci {
+			b.ci[c] = ci[c*wd : (c+1)*wd]
+		}
+		for c := range b.cf {
+			b.cf[c] = cf[c*wd : (c+1)*wd]
+		}
+		b.finI, b.finF = ci[cI*wd:], cf[cF*wd:]
+		levels := len(cp.used)
+		b.lanes, b.cur, b.seg = resize(&sc.blanes, levels), resize(&sc.bcur, levels), resize(&sc.bseg, levels)
+		b.iv = resize(&sc.biv, len(cp.chains))[:0]
+		lists := resize(&sc.blists, levels*wd)
+		for g := 1; g < levels; g++ {
+			if cp.used[g] && g != bp.guards {
+				b.lanes[g] = lists[g*wd : g*wd : (g+1)*wd]
+			}
+		}
+	}
+}
+
+// resize returns *buf resized to n cleared elements, reusing its capacity.
+func resize[T any](buf *[]T, n int) []T {
+	if cap(*buf) < n {
+		*buf = make([]T, n)
+	}
+	*buf = (*buf)[:n]
+	clear(*buf)
+	return *buf
 }
 
 // tickN retires n items' worth of checkpoint budget at once — the batch
@@ -670,20 +799,25 @@ func (w *worker) runBatch(lo, hi int) error {
 }
 
 // runLanes runs one batch of n lanes starting at global index base: the
-// lane side instruction-major, then the carried slice lane by lane.
+// lane side instruction-major, then the carried phase (runCarried).
 func (w *worker) runLanes(base, n int) error {
 	bp := w.batch
 	b := &w.bst
-	gidc, ivc, idxc := b.ri[kernel.RegGID], b.ri[kernel.RegIV], b.ri[kernel.RegIdx]
-	g, v := base/bp.span, base%bp.span
-	for i := 0; i < n; i++ {
-		gidc[i], ivc[i], idxc[i] = int64(g), int64(v), int64(base+i)
-		if v++; v == bp.span {
-			g, v = g+1, 0
+	b.base, b.idxFilled = base, false
+	if bp.readsIdx {
+		b.fillIdx(n)
+	}
+	if bp.readsGIV {
+		gidc, ivc := b.ri[kernel.RegGID][:n], b.ri[kernel.RegIV][:n]
+		g, v := base/bp.span, base%bp.span
+		for i := range gidc {
+			gidc[i], ivc[i] = int64(g), int64(v)
+			if v++; v == bp.span {
+				g, v = g+1, 0
+			}
 		}
 	}
-	g, v = base/bp.span, base%bp.span
-	if bp.split {
+	if bp.split && bp.guards > 0 {
 		lvl := b.lvl[:n]
 		for i := range lvl {
 			lvl[i] = int32(bp.guards)
@@ -707,23 +841,7 @@ func (w *worker) runLanes(base, n int) error {
 	if !bp.split {
 		return nil
 	}
-	steps, prefix := bp.steps, bp.prefix
-	for i := 0; i < n; i++ {
-		if g != b.item {
-			if err := w.enterItem(g); err != nil {
-				return err
-			}
-		}
-		for _, s := range steps[:prefix[b.lvl[i]]] {
-			if err := s(w, b, i); err != nil {
-				return err
-			}
-		}
-		if v++; v == bp.span {
-			g, v = g+1, 0
-		}
-	}
-	return nil
+	return w.runCarried(base, n)
 }
 
 // enterItem closes the open work item and opens gid.
@@ -1234,16 +1352,17 @@ func primLoad(in kernel.Instr) batchPrim {
 	return func(w *worker, b *bstate) error {
 		buf := w.env.Bufs[bi]
 		ln := int64(buf.Len())
+		dense := b.dense(ar, ln)
 		a := b.ri[ar]
 		s := b.sel
 		if flt {
 			d := b.rf[dr]
-			if s == nil && ar == kernel.RegIdx && b.n > 0 && a[0] >= 0 && a[b.n-1] < ln {
+			if dense {
 				// A dense batch loading at RegIdx reads consecutive slots:
 				// one range check, then a straight copy. Out-of-range
 				// batches take the generic loop so the error names the
 				// first offending index, as the interpreter would.
-				lo := a[0]
+				lo := int64(b.base)
 				copy(d[:b.n], buf.F[lo:lo+int64(b.n)])
 			} else if s != nil {
 				for _, i := range s {
@@ -1264,8 +1383,8 @@ func primLoad(in kernel.Instr) batchPrim {
 			}
 		} else {
 			d := b.ri[dr]
-			if s == nil && ar == kernel.RegIdx && b.n > 0 && a[0] >= 0 && a[b.n-1] < ln {
-				lo := a[0]
+			if dense {
+				lo := int64(b.base)
 				copy(d[:b.n], buf.I[lo:lo+int64(b.n)])
 			} else if s != nil {
 				for _, i := range s {
@@ -1352,6 +1471,9 @@ func primLoadValid(in kernel.Instr) batchPrim {
 	return func(w *worker, b *bstate) error {
 		buf := w.env.Bufs[bi]
 		ln := int64(buf.Len())
+		if ar == kernel.RegIdx {
+			b.fillIdx(b.n)
+		}
 		a := b.ri[ar]
 		d := b.ri[dr]
 		valid := buf.Valid
@@ -1391,19 +1513,22 @@ func primStore(in kernel.Instr) batchPrim {
 	return func(w *worker, b *bstate) error {
 		buf := w.env.Bufs[bi]
 		ln := int64(buf.Len())
-		a := b.ri[ar]
 		var cond []int64
 		if buf.Valid != nil && cr > 0 {
 			cond = b.ri[cr]
 		}
+		dense := buf.Valid == nil && b.dense(ar, ln)
+		if ar == kernel.RegIdx && !dense {
+			b.fillIdx(b.n)
+		}
+		a := b.ri[ar]
 		s := b.sel
 		if flt {
 			src := b.rf[br]
-			if s == nil && ar == kernel.RegIdx && cond == nil && buf.Valid == nil &&
-				b.n > 0 && a[0] >= 0 && a[b.n-1] < ln {
+			if dense {
 				// Dense contiguous store without a validity mask: one range
 				// check, then a straight copy.
-				lo := a[0]
+				lo := int64(b.base)
 				copy(buf.F[lo:lo+int64(b.n)], src[:b.n])
 			} else if s != nil {
 				for _, i := range s {
@@ -1438,9 +1563,8 @@ func primStore(in kernel.Instr) batchPrim {
 			}
 		} else {
 			src := b.ri[br]
-			if s == nil && ar == kernel.RegIdx && cond == nil && buf.Valid == nil &&
-				b.n > 0 && a[0] >= 0 && a[b.n-1] < ln {
-				lo := a[0]
+			if dense {
+				lo := int64(b.base)
 				copy(buf.I[lo:lo+int64(b.n)], src[:b.n])
 			} else if s != nil {
 				for _, i := range s {

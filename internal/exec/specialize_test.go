@@ -350,8 +350,8 @@ func TestSpecializeBatchEligibility(t *testing.T) {
 	}
 
 	multi := foldKernel(64, 4, kernel.BAdd, false).Frags[0]
-	if bp, why := compileBatch(multi); bp == nil || bp.span != multi.Intent || len(bp.steps) != 1 {
-		t.Errorf("multi-iteration blocked fold should batch with its accumulator carried (%q)", why)
+	if bp, why := compileBatch(multi); bp == nil || bp.span != multi.Intent || bp.nScans != 1 {
+		t.Errorf("multi-iteration blocked fold should batch with its accumulator carried as a scan (%q)", why)
 	}
 }
 
@@ -723,11 +723,17 @@ func TestInterpretedReasonSeries(t *testing.T) {
 // TestLightRunsKeepUntracedPaths: a light (traced) run of a fragment whose
 // batch counts are inexact takes the batch path an uncounted run takes
 // and still reports the order-independent counts; a full counted run
-// interprets it, naming the reason. The shapes are a cursor filter and a
-// grouped sum/count, min and max with its post-loop flush.
+// interprets it, naming the reason. The shapes are a cursor filter, a
+// grouped sum/count, min and max with its post-loop flush, a cursor read
+// on both sides of its update and a cursor filter storing twice into one
+// buffer.
 func TestLightRunsKeepUntracedPaths(t *testing.T) {
 	n := 3000
 	agg := aggSpec{n: n, extent: 7, groups: 5, flt: true, gather: true}
+	in := map[string]*Buffer{"in": {Kind: vector.Int, I: seqInts(n)}}
+	for i := range in["in"].I {
+		in["in"].I[i] %= 113
+	}
 	for _, tc := range []struct {
 		name string
 		k    *kernel.Kernel
@@ -735,6 +741,8 @@ func TestLightRunsKeepUntracedPaths(t *testing.T) {
 	}{
 		{"cursor", cursorKernel(n, 51, 59, 40), map[string]*Buffer{"in": {Kind: vector.Int, I: seqInts(n)}}},
 		{"grouped", aggKernel(agg), aggInputs(n, agg.groups, agg.flt)},
+		{"scan-levels", levelScanKernel(n, 51, 59, true), in},
+		{"two-stores", twoStoreKernel(n, 51, 59), in},
 	} {
 		k := tc.k
 		run := func(fs *FragStats) *Env {
@@ -773,13 +781,15 @@ func TestLightRunsKeepUntracedPaths(t *testing.T) {
 // are all sequential takes the batch path even on a full counted run, and
 // every event count — lane primitives, the compiled carried steps and the
 // batched post-loop flush — matches the interpreter's exactly, for a
-// grouped sum with a guarded count and for a grouped sum/count, min and
-// max in both files.
+// grouped sum with a guarded count, for a grouped sum/count, min and max
+// in both files, for scans folding sums, counts and (conditional) extremes
+// in both files, and for a cursor read on both sides of its update.
 func TestSplitCountedRunsMatchInterpreter(t *testing.T) {
 	n := 3000
 	grp, val := &Buffer{Kind: vector.Int, I: make([]int64, n)}, &Buffer{Kind: vector.Float, F: make([]float64, n)}
+	mod := &Buffer{Kind: vector.Int, I: make([]int64, n)}
 	for i := range grp.I {
-		grp.I[i], val.F[i] = int64(i%5), float64(i%13)-4.5
+		grp.I[i], val.F[i], mod.I[i] = int64(i%5), float64(i%13)-4.5, int64(i*37+11)%113
 	}
 	fltAgg, intAgg := aggSpec{n: n, extent: 7, groups: 5, flt: true}, aggSpec{n: n, extent: 7, groups: 5}
 	for _, tc := range []struct {
@@ -790,6 +800,9 @@ func TestSplitCountedRunsMatchInterpreter(t *testing.T) {
 		{"sum-guarded-count", groupKernel(n, 7, 429, 5), map[string]*Buffer{"grp": grp, "val": val}},
 		{"float-min-max", aggKernel(fltAgg), aggInputs(n, fltAgg.groups, true)},
 		{"int-min-max", aggKernel(intAgg), aggInputs(n, intAgg.groups, false)},
+		{"float-scans", accKernel(n, 7, true), accInputs(n, 7, true)},
+		{"int-scans", accKernel(n, 7, false), accInputs(n, 7, false)},
+		{"scan-levels", levelScanKernel(n, 51, 59, false), map[string]*Buffer{"in": mod}},
 	} {
 		k := tc.k
 		run := func(spec SpecMode) FragStats {

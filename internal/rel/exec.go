@@ -272,8 +272,8 @@ func (e *Engine) RunPrepared(ctx context.Context, pr *Prepared) (res *Result, st
 	if q.OrderBy != nil {
 		sort.SliceStable(res.Rows, func(i, j int) bool { return q.OrderBy(res.Rows[i], res.Rows[j]) })
 	}
-	if q.Limit > 0 && len(res.Rows) > q.Limit {
-		res.Rows = res.Rows[:q.Limit]
+	if n, ok := q.RowLimit(); ok && len(res.Rows) > n {
+		res.Rows = res.Rows[:n]
 	}
 	return res, stats, nil
 }

@@ -167,9 +167,18 @@ type Query struct {
 	Name string
 	// Having filters result rows (aggregate predicates).
 	Having func(Row) bool
-	// OrderBy sorts the result rows (less function); Limit truncates.
+	// OrderBy sorts the result rows (less function); Limit truncates them
+	// to the first Limit rows when positive or when Limited marks an
+	// explicit limit (LIMIT 0 returns no rows). The zero Query has no
+	// limit.
 	OrderBy func(a, b Row) bool
 	Limit   int
+	Limited bool
+}
+
+// RowLimit returns the number of rows q keeps, or false for no limit.
+func (q *Query) RowLimit() (int, bool) {
+	return max(q.Limit, 0), q.Limited || q.Limit > 0
 }
 
 // Row is one result row, keyed by output column name.

@@ -83,7 +83,9 @@ type SelectStmt struct {
 	GroupBy []string
 	Having  Expr
 	OrderBy []OrderItem
-	Limit   int
+	// Limit is the LIMIT count when HasLimit is set (LIMIT 0 included).
+	Limit    int
+	HasLimit bool
 }
 
 // ---- Parser ---------------------------------------------------------------
@@ -240,7 +242,7 @@ func (p *parser) parseSelect() (*SelectStmt, error) {
 		if err != nil || v < 0 {
 			return nil, p.errf("bad limit %q", n.text)
 		}
-		stmt.Limit = v
+		stmt.Limit, stmt.HasLimit = v, true
 	}
 	return stmt, nil
 }

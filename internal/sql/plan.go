@@ -226,7 +226,7 @@ func (pl *planner) plan() (rel.Query, error) {
 			return false
 		}
 	}
-	q.Limit = pl.stmt.Limit
+	q.Limit, q.Limited = pl.stmt.Limit, pl.stmt.HasLimit
 	return q, nil
 }
 

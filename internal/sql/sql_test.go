@@ -5,6 +5,8 @@ import (
 	"strings"
 	"testing"
 
+	"voodoo/internal/baseline/hyper"
+	"voodoo/internal/exec"
 	"voodoo/internal/rel"
 	"voodoo/internal/tpch"
 )
@@ -269,5 +271,50 @@ func TestBareCountStar(t *testing.T) {
 	want := float64(cat.Table("orders").N)
 	if got := res.Rows[0]["n"]; got != want {
 		t.Fatalf("COUNT(*) = %v, want %v", got, want)
+	}
+}
+
+// TestLimitZero: LIMIT 0 parses as an explicit limit and returns no rows on
+// every engine, while LIMIT n keeps the first n rows (with or without ORDER
+// BY) and a statement without LIMIT keeps them all.
+func TestLimitZero(t *testing.T) {
+	engines := map[string]interface {
+		Run(rel.Query) (*rel.Result, *exec.Stats, error)
+	}{
+		"compiled": &rel.Engine{Cat: cat, Backend: rel.Compiled},
+		"interp":   &rel.Engine{Cat: cat, Backend: rel.Interpreted},
+		"hyper":    &hyper.Engine{Cat: cat},
+	}
+	const base = `SELECT s_nationkey, COUNT(*) AS n FROM supplier GROUP BY s_nationkey`
+	for _, tc := range []struct {
+		suffix string
+		rows   int
+	}{
+		{"", -1}, // every group: as many as the supplier table has nations
+		{" LIMIT 0", 0},
+		{" LIMIT 3", 3},
+		{" ORDER BY s_nationkey LIMIT 0", 0},
+		{" ORDER BY s_nationkey LIMIT 3", 3},
+	} {
+		stmt, err := Parse(base + tc.suffix)
+		if err != nil {
+			t.Fatalf("%q: parse: %v", tc.suffix, err)
+		}
+		if want := tc.suffix != ""; stmt.HasLimit != want {
+			t.Errorf("%q: HasLimit = %v, want %v", tc.suffix, stmt.HasLimit, want)
+		}
+		q, err := Plan(stmt, cat)
+		if err != nil {
+			t.Fatalf("%q: plan: %v", tc.suffix, err)
+		}
+		for name, e := range engines {
+			res, _, err := e.Run(q)
+			if err != nil {
+				t.Fatalf("%q on %s: %v", tc.suffix, name, err)
+			}
+			if tc.rows < 0 && len(res.Rows) <= 3 || tc.rows >= 0 && len(res.Rows) != tc.rows {
+				t.Errorf("%q on %s: %d rows, want %d (-1: more than 3)", tc.suffix, name, len(res.Rows), tc.rows)
+			}
+		}
 	}
 }

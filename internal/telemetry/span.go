@@ -139,6 +139,10 @@ func BuildSpans(m QueryMeta, traces []*trace.Trace) QuerySpans {
 			if s.Fallback != "" {
 				sa["fallback"] = s.Fallback
 			}
+			if s.Chains > 0 || s.Scans > 0 {
+				sa["carried_chains"], sa["carried_scans"] = s.Chains, s.Scans
+				sa["single_chain_segments"] = s.SingleChainSegs
+			}
 			child(s.Kind+" "+s.Name, phase, stepCursor, s.WallNS, sa)
 			stepCursor += s.WallNS
 		}

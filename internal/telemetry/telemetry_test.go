@@ -193,6 +193,37 @@ func TestBuildSpansFallback(t *testing.T) {
 	t.Fatalf("no fragment span: %+v", qs.Spans)
 }
 
+// TestBuildSpansCarried: a batch fragment span carries how its carried
+// phase ran — chains, scans and single-chain segments.
+func TestBuildSpansCarried(t *testing.T) {
+	q, _ := ParseTraceparent("00-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-01")
+	tr := &trace.Trace{Backend: "compiled", WallNS: 2e6}
+	tr.Add(trace.Step{Kind: trace.KindFragment, Name: "gfold_1", WallNS: 2e6,
+		Specialized: "batch", Chains: 14, Scans: 2, SingleChainSegs: 3})
+	tr.Add(trace.Step{Kind: trace.KindFragment, Name: "mat_2", WallNS: 1e6, Specialized: "batch"})
+	tr.Finish(2 * time.Millisecond)
+	start := time.Unix(1000, 0)
+	qs := BuildSpans(QueryMeta{ID: q, Start: start, End: start.Add(3 * time.Millisecond)}, []*trace.Trace{tr})
+	seen := 0
+	for _, s := range qs.Spans {
+		switch s.Name {
+		case "fragment gfold_1":
+			seen++
+			if s.Attrs["carried_chains"] != 14 || s.Attrs["carried_scans"] != 2 || s.Attrs["single_chain_segments"] != int64(3) {
+				t.Errorf("fragment attrs: %+v", s.Attrs)
+			}
+		case "fragment mat_2":
+			seen++
+			if _, ok := s.Attrs["carried_chains"]; ok {
+				t.Errorf("unsplit fragment has carried attrs: %+v", s.Attrs)
+			}
+		}
+	}
+	if seen != 2 {
+		t.Fatalf("fragment spans missing: %+v", qs.Spans)
+	}
+}
+
 // TestSpanStore: ring retention with eviction of the oldest tree.
 func TestSpanStore(t *testing.T) {
 	st := NewSpanStore(2)

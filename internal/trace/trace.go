@@ -63,6 +63,13 @@ type Step struct {
 	// path: a verify.BatchFacts reason, or "counted", "fault-injection",
 	// "off" or "first-run".
 	Fallback string `json:"fallback,omitempty"`
+	// Chains and Scans say how a batch run of a split fragment ran its
+	// carried phase: its chain and scan counts (verify.Facts).
+	// SingleChainSegs counts the work-item segments that ran lane-major
+	// because two chains' locals slot intervals overlapped.
+	Chains          int   `json:"carried_chains,omitempty"`
+	Scans           int   `json:"carried_scans,omitempty"`
+	SingleChainSegs int64 `json:"single_chain_segments,omitempty"`
 
 	// Control-vector shape of a fragment: Extent parallel work items,
 	// Intent sequential iterations each, over N guarded elements.
@@ -221,6 +228,12 @@ func (t *Trace) String() string {
 			fmt.Fprintf(&sb, " items=%d", s.Items)
 			if s.Kind == KindFragment {
 				fmt.Fprintf(&sb, " ns/item=%.1f", float64(s.WallNS)/float64(s.Items))
+			}
+		}
+		if s.Chains > 0 || s.Scans > 0 {
+			fmt.Fprintf(&sb, " carried=chains:%d,scans:%d", s.Chains, s.Scans)
+			if s.SingleChainSegs > 0 {
+				fmt.Fprintf(&sb, ",single:%d", s.SingleChainSegs)
 			}
 		}
 		if s.MaterializedBytes > 0 {

@@ -143,6 +143,27 @@ func TestStringShowsNsPerItem(t *testing.T) {
 	}
 }
 
+// TestStringShowsCarried: EXPLAIN ANALYZE says how a split batch
+// fragment ran its carried phase, and how many segments fell back to a
+// single chain when any did.
+func TestStringShowsCarried(t *testing.T) {
+	tr := &Trace{Backend: "compiled"}
+	tr.Add(Step{Kind: KindFragment, Name: "gfold_9", Specialized: "batch", WallNS: 5000, Items: 400, Chains: 14})
+	tr.Add(Step{Kind: KindFragment, Name: "filt_2", Specialized: "batch", WallNS: 700, Items: 90, Chains: 8, Scans: 1, SingleChainSegs: 2})
+	tr.Add(Step{Kind: KindFragment, Name: "mat_1", Specialized: "batch", WallNS: 700, Items: 90})
+	tr.Finish(time.Millisecond)
+	lines := strings.Split(tr.String(), "\n")
+	if !strings.Contains(lines[1], " carried=chains:14,scans:0 ") {
+		t.Errorf("split fragment lacks its carried phase: %q", lines[1])
+	}
+	if !strings.Contains(lines[2], " carried=chains:8,scans:1,single:2 ") {
+		t.Errorf("fallback segments not shown: %q", lines[2])
+	}
+	if strings.Contains(lines[3], "carried=") {
+		t.Errorf("carried phase on an unsplit fragment: %q", lines[3])
+	}
+}
+
 func TestJSONRoundTrip(t *testing.T) {
 	tr := &Trace{Backend: "interpreted"}
 	tr.Add(Step{Kind: KindStmt, Name: "FoldSum", Stmts: []int{7}, Items: 3})

@@ -295,6 +295,10 @@ func (v *fragVerifier) section(name string, body []kernel.Instr, loopBody bool) 
 		}
 	}
 
+	if loopBody {
+		v.carriedRedef(name, body, bodyDefI, bodyDefF)
+	}
+
 	// Affinity: propagate index classes to a practical fixpoint (loop
 	// bodies feed their own next iteration, so run a few extra passes),
 	// emitting VF009 on the final pass only.
@@ -315,6 +319,40 @@ func (v *fragVerifier) section(name string, body []kernel.Instr, loopBody bool) 
 				}
 			}
 			v.applyClass(in)
+		}
+	}
+}
+
+// carriedRedef flags a loop-carried register — read in a repeated body
+// before the body defines it — that the body defines more than once
+// (VF013). Lowering updates every fold accumulator and position cursor
+// exactly once per iteration, which is what lets the batch executor run
+// it as a prefix scan (verify.Scan); a second update double-counts, and
+// forces everything touching the register into one lane-major chain.
+func (v *fragVerifier) carriedRedef(name string, body []kernel.Instr, bodyDefI, bodyDefF map[kernel.Reg]bool) {
+	type file struct {
+		r   kernel.Reg
+		flt bool
+	}
+	defs := map[file]int{}
+	carried := map[file]bool{}
+	for i, in := range body {
+		us, n := in.Uses()
+		for _, u := range us[:n] {
+			later := bodyDefI[u.R]
+			if u.Float {
+				later = bodyDefF[u.R]
+			}
+			if k := (file{u.R, u.Float}); later && defs[k] == 0 {
+				carried[k] = true
+			}
+		}
+		if r, flt, ok := in.Def(); ok {
+			k := file{r, flt}
+			if defs[k]++; defs[k] == 2 && carried[k] {
+				v.diags = warnf(v.diags, fpos(v.f.Name, name, i), RuleCarriedRedef,
+					"%s updates loop-carried r%d a second time in one iteration", in, r)
+			}
 		}
 	}
 }
@@ -403,12 +441,14 @@ var Reasons = []string{
 // as batch primitives over register columns. The carried slice — every
 // instruction that touches locals, reads a register before the body
 // defines it (a loop-carried read), or reads or defines a register another
-// carried instruction defines — runs element-major, lane after lane in
-// index order, as compiled steps that read lane registers straight from
-// their columns and keep carried registers in the scalar register file;
-// Pre, Post and the post-loop body run at work-item boundaries, the
-// post-loop body as batch primitives over its slots when PostLanes holds.
-// Results therefore stay bit-identical to the interpreter's.
+// carried instruction defines — runs after them, chain-major: its scans
+// (Scans) as prefix-sum loops, then its chains (Chain) one after another,
+// each as one loop over the lanes in index order; lane after lane when
+// the slice is a single chain. Pre, Post and the post-loop body run at
+// work-item boundaries, the post-loop body as batch primitives over its
+// slots when PostLanes holds. Every locals slot, scan register and stored
+// buffer sees its updates in lane order, so results stay bit-identical to
+// the interpreter's.
 type Facts struct {
 	// BatchEligible reports whether the fragment can run as a batch.
 	BatchEligible bool
@@ -448,6 +488,46 @@ type Facts struct {
 	// j ∈ [0, Locals) are then independent lanes, so it runs as batch
 	// primitives over them; any other post-loop body runs slot by slot.
 	PostLanes bool
+	// Scans lists the loop-carried registers of the carried slice that
+	// are prefix sums (see Scan), in body order of their updates.
+	Scans []Scan
+	// Chain gives each carried instruction (parallel to Carried) its
+	// chain, numbered in run order, or -1 for the instructions of a scan.
+	// Chains is the number of chains. A chain groups the carried
+	// instructions that share cross-lane state: a loop-carried register
+	// that is not a scan, a register defined more than once, locals
+	// accessed through one index register (all locals accesses when the
+	// slice computes an index itself), or a stored buffer. Every
+	// other carried register the slice defines has one definition that
+	// precedes its reads; a chain reading one defined by another chain
+	// runs after it, and chains on a dataflow cycle merge. A lane's
+	// instructions of different chains then commute as long as the chains
+	// touch disjoint locals slots, which the executor checks at run time.
+	Chain  []int
+	Chains int
+}
+
+// Scan is a loop-carried register the carried slice defines exactly once
+// per lane, by folding in a value no carried instruction feeds: r = r ⊕ x,
+// or the conditional form t = r ⊕ x; r = c ? t : r, with ⊕ ∈ {add, min,
+// max} and x, c lane registers (lane constants included). Its values
+// before and after each lane are then a prefix scan over the work item's
+// lanes, computed ahead of the chains; a carried instruction reading R
+// reads the lane's entry value before the update and its exit value after
+// it.
+type Scan struct {
+	R     kernel.Reg
+	Float bool
+	Op    kernel.BinOp
+	X     kernel.Reg
+	// Cond and T are the condition and the fold temporary of the
+	// conditional form (kernel.NoReg otherwise); T is read only by the
+	// update.
+	Cond, T kernel.Reg
+	// At is the carried-slice index (into Carried) of the update: the
+	// fold, or the select of the conditional form. Level is its guard
+	// level.
+	At, Level int
 }
 
 // ineligible builds the not-eligible result.
@@ -711,6 +791,9 @@ func BatchFacts(f *kernel.Fragment) Facts {
 
 	fa.BatchEligible, fa.Countable = true, countable
 	fa.PostLanes = f.Locals > 0 && len(f.PostLoopBody) > 0 && postLanePure(f.PostLoopBody, regs, bufs, key)
+	if len(fa.Carried) > 0 {
+		carriedChains(f.Loops[0].Body, &fa, regs, len(bufs), key)
+	}
 	fa.IntRegs = []kernel.Reg{kernel.RegGID, kernel.RegIV, kernel.RegIdx}
 	fa.NRegs = int(kernel.RegIdx) + 1
 	for r := kernel.FirstFree; int(r) < nregs; r++ {
@@ -759,4 +842,265 @@ func postLanePure(body []kernel.Instr, regs []uint16, bufs []uint8, key func(ker
 		}
 	}
 	return true
+}
+
+// carriedChains computes Facts.Scans and the chain partition of the
+// carried slice (Facts.Chain, Facts.Chains). regs carries BatchFacts'
+// per-register flags; nbufs bounds the buffer indices. It allocates a
+// handful of dense slices over the registers and the slice.
+func carriedChains(body []kernel.Instr, fa *Facts, regs []uint16, nbufs int, key func(kernel.Reg, bool) int) {
+	n := len(fa.Carried)
+	at := func(p int) kernel.Instr { return body[fa.Carried[p]] }
+	// Per register: carried definitions and reads (saturating at 2), the
+	// carried index of its (last) definition, and its scan (-1: none).
+	type regInfo struct {
+		defs, reads uint8
+		def         int32
+		scan        int32
+		first       int32 // first chain member touching it (union-find seed)
+	}
+	info := make([]regInfo, len(regs))
+	for k := range info {
+		info[k].scan, info[k].first = -1, -1
+	}
+	for p := 0; p < n; p++ {
+		in := at(p)
+		us, m := in.Uses()
+		for _, u := range us[:m] {
+			if ri := &info[key(u.R, u.Float)]; ri.reads < 2 {
+				ri.reads++
+			}
+		}
+		if r, flt, ok := in.Def(); ok {
+			ri := &info[key(r, flt)]
+			if ri.defs < 2 {
+				ri.defs++
+			}
+			ri.def = int32(p)
+		}
+	}
+	// lane reports a lane register or special: one the lane side computes
+	// for every lane before the carried phase runs.
+	lane := func(r kernel.Reg, flt bool) bool {
+		return !flt && (r == kernel.RegGID || r == kernel.RegIV || r == kernel.RegIdx) || regs[key(r, flt)]&rLaneDef != 0
+	}
+	fold := func(in kernel.Instr, r kernel.Reg, flt bool) bool {
+		return in.Op == kernel.IBin && in.Float == flt && in.A == r &&
+			(in.BOp == kernel.BAdd || in.BOp == kernel.BMin || in.BOp == kernel.BMax) && lane(in.B, flt)
+	}
+
+	chain := make([]int, n)
+	for p := 0; p < n; p++ {
+		in := at(p)
+		r, flt, ok := in.Def()
+		k := key(r, flt)
+		if !ok || regs[k]&rCarryRead == 0 || info[k].defs != 1 {
+			continue
+		}
+		sc := Scan{R: r, Float: flt, Cond: kernel.NoReg, T: kernel.NoReg, At: p, Level: fa.Level[p]}
+		switch {
+		case fold(in, r, flt):
+			sc.Op, sc.X = in.BOp, in.B
+		case in.Op == kernel.ISel && in.C == r && lane(in.A, false):
+			t := info[key(in.B, flt)]
+			if t.defs != 1 || t.reads != 1 || regs[key(in.B, flt)]&rCarryRead != 0 ||
+				fa.Level[t.def] != sc.Level || !fold(at(int(t.def)), r, flt) {
+				continue
+			}
+			e := at(int(t.def))
+			sc.Op, sc.X, sc.Cond, sc.T = e.BOp, e.B, in.A, in.B
+			chain[t.def] = -1
+			info[key(in.B, flt)].scan = int32(len(fa.Scans))
+		default:
+			continue
+		}
+		chain[p] = -1
+		info[k].scan = int32(len(fa.Scans))
+		fa.Scans = append(fa.Scans, sc)
+	}
+
+	// Union-find over the carried indices: parent[p] == p marks a root.
+	parent := make([]int32, n)
+	for p := range parent {
+		parent[p] = int32(p)
+	}
+	var find func(p int32) int32
+	find = func(p int32) int32 {
+		for parent[p] != p {
+			parent[p] = parent[parent[p]]
+			p = parent[p]
+		}
+		return p
+	}
+	union := func(a, b int32) {
+		if a, b = find(a), find(b); a != b {
+			parent[max(a, b)] = min(a, b)
+		}
+	}
+	// column reports a carried register other chains may read from a
+	// column: defined once, before every read of it.
+	column := func(k int) bool { return info[k].defs == 1 && regs[k]&rCarryRead == 0 }
+	// Locals index registers the carried slice does not compute are known
+	// before any scan or chain runs, so the executor can check slot
+	// disjointness up front; if the slice computes any index, every
+	// locals access joins one chain.
+	loadsLoc := func(in kernel.Instr) bool { return in.Op == kernel.ILoadLoc || in.Op == kernel.IStoreLoc }
+	locals, unknownIdx := int32(-1), false
+	bufFirst := make([]int32, nbufs)
+	for b := range bufFirst {
+		bufFirst[b] = -1
+	}
+	for p := 0; p < n; p++ {
+		if chain[p] < 0 {
+			continue
+		}
+		in := at(p)
+		touch := func(r kernel.Reg, flt bool) {
+			k := key(r, flt)
+			if info[k].defs == 0 || info[k].scan >= 0 || column(k) {
+				return
+			}
+			if info[k].first < 0 {
+				info[k].first = int32(p)
+			}
+			union(info[k].first, int32(p))
+		}
+		us, m := in.Uses()
+		for _, u := range us[:m] {
+			touch(u.R, u.Float)
+		}
+		if r, flt, ok := in.Def(); ok {
+			touch(r, flt)
+		}
+		switch {
+		case loadsLoc(in):
+			k := key(in.A, false)
+			if info[k].defs > 0 {
+				unknownIdx = true
+			}
+			if locals < 0 {
+				locals = int32(p)
+			}
+			if info[k].first < 0 {
+				info[k].first = int32(p)
+			}
+			union(info[k].first, int32(p))
+		case in.Op == kernel.IStore:
+			if bufFirst[in.Buf] < 0 {
+				bufFirst[in.Buf] = int32(p)
+			}
+			union(bufFirst[in.Buf], int32(p))
+		}
+	}
+	if unknownIdx {
+		for p := 0; p < n; p++ {
+			if chain[p] >= 0 && loadsLoc(at(p)) {
+				union(locals, int32(p))
+			}
+		}
+	}
+
+	// Dataflow edges between chains: from the chain defining a column
+	// register to every other chain reading it, as (from, to) root pairs
+	// in a flat slice sorted by source below.
+	var edges []int32
+	for p := 0; p < n; p++ {
+		if chain[p] < 0 {
+			continue
+		}
+		us, m := at(p).Uses()
+		for _, u := range us[:m] {
+			k := key(u.R, u.Float)
+			if info[k].defs == 0 || info[k].scan >= 0 || !column(k) {
+				continue
+			}
+			if a, b := find(info[k].def), find(int32(p)); a != b {
+				edges = append(edges, a, b)
+			}
+		}
+	}
+	order := chainOrder(n, chain, edges, find, union)
+	fa.Chains = 0
+	id := make([]int, n)
+	for _, root := range order {
+		id[root] = fa.Chains
+		fa.Chains++
+	}
+	for p := 0; p < n; p++ {
+		if chain[p] >= 0 {
+			chain[p] = id[find(int32(p))]
+		}
+	}
+	fa.Chain = chain
+}
+
+// chainOrder merges the chains on each dataflow cycle (Tarjan's strongly
+// connected components over the union-find roots) and returns the merged
+// roots in a run order that respects every edge: edges holds (from, to)
+// root pairs. Unconstrained chains keep body order.
+func chainOrder(n int, chain []int, edges []int32, find func(int32) int32, union func(a, b int32)) []int32 {
+	// Adjacency in compressed rows, indexed by root.
+	start := make([]int32, n+1)
+	for e := 0; e < len(edges); e += 2 {
+		start[edges[e]+1]++
+	}
+	for p := 0; p < n; p++ {
+		start[p+1] += start[p]
+	}
+	adj := make([]int32, len(edges)/2)
+	fill := append([]int32(nil), start[:n]...)
+	for e := 0; e < len(edges); e += 2 {
+		adj[fill[edges[e]]] = edges[e+1]
+		fill[edges[e]]++
+	}
+	index, low := make([]int32, n), make([]int32, n)
+	for p := range index {
+		index[p] = -1
+	}
+	onStack := make([]bool, n)
+	var stack, sccs []int32 // sccs: component roots in emission order
+	next := int32(0)
+	var visit func(v int32)
+	visit = func(v int32) {
+		index[v], low[v] = next, next
+		next++
+		stack = append(stack, v)
+		onStack[v] = true
+		for _, u := range adj[start[v]:start[v+1]] {
+			if index[u] < 0 {
+				visit(u)
+				low[v] = min(low[v], low[u])
+			} else if onStack[u] {
+				low[v] = min(low[v], index[u])
+			}
+		}
+		if low[v] != index[v] {
+			return
+		}
+		for {
+			u := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			onStack[u] = false
+			union(v, u)
+			if u == v {
+				break
+			}
+		}
+		sccs = append(sccs, v)
+	}
+	// Visiting in reverse body order and reversing the emission order
+	// (Tarjan emits a component after everything it reaches) yields a
+	// topological order that keeps body order where edges allow.
+	for p := int32(n - 1); p >= 0; p-- {
+		if chain[p] >= 0 && find(p) == p && index[p] < 0 {
+			visit(p)
+		}
+	}
+	for i, j := 0, len(sccs)-1; i < j; i, j = i+1, j-1 {
+		sccs[i], sccs[j] = sccs[j], sccs[i]
+	}
+	for i, v := range sccs {
+		sccs[i] = find(v)
+	}
+	return sccs
 }

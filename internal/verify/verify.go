@@ -132,6 +132,7 @@ const (
 	RuleRWOverlap    = "VF010" // fragment loads and stores the same buffer
 	RuleBadInstr     = "VF011" // unknown opcode or negative operand register
 	RuleCarriedInit  = "VF012" // loop-carried register not defined before its loop
+	RuleCarriedRedef = "VF013" // loop-carried register updated more than once per iteration
 
 	// Kernel level.
 	RuleBufDecl = "VK001" // buffer declaration with negative size or empty name
