@@ -111,9 +111,9 @@ func accKernel(n, extent int, flt bool) *kernel.Kernel {
 // accInputs feeds accKernel −0.0, +0.0, ±Inf and NaN (or the int
 // extremes) among ordinary values, flagging every third lane. Work item 0
 // sees +Inf, item 1 −Inf, item 2 both (its sum becomes the NaN that
-// Inf − Inf gives) and the later items a NaN input: no item meets two
-// different NaNs, whose sum would take whichever payload the add's
-// operand order picks.
+// Inf − Inf gives), item 3 both and a NaN input, so its sum meets two
+// different NaNs (and must keep the interpreter's payload), and the later
+// items a NaN input.
 func accInputs(n, extent int, flt bool) map[string]*Buffer {
 	ivals := []int64{3, 0, math.MaxInt64, -1, math.MinInt64, 5, -9}
 	neg0 := math.Copysign(0, -1)
@@ -121,6 +121,7 @@ func accInputs(n, extent int, flt bool) map[string]*Buffer {
 		{1.5, neg0, math.Inf(1), 0, -2, 3},
 		{1.5, neg0, math.Inf(-1), 0, -2, 3},
 		{1.5, math.Inf(-1), neg0, math.Inf(1), 0, -2},
+		{1.5, math.Inf(1), -2, math.Inf(-1), math.NaN(), neg0},
 		{1.5, neg0, 0, -2, math.NaN(), 3, 7},
 	}
 	intent := (n + extent - 1) / extent

@@ -330,24 +330,26 @@ type bstate struct {
 	cur    []int
 	seg    [][]int32
 	iv     [][2]int64
-	// base is the batch's first global index; idxFilled reports that the
-	// RegIdx column holds base+i (see fillIdx).
-	base      int
-	idxFilled bool
-	finI      []int64
-	finF      []float64
+	// base is the batch's first global index. idx is RegIdx's column;
+	// ri[RegIdx] stays nil until fillIdx fills it, so a primitive that
+	// reads RegIdx's column without calling fillIdx fails on a nil column
+	// instead of reading another batch's indexes.
+	base int
+	idx  []int64
+	finI []int64
+	finF []float64
 }
 
 // fillIdx fills the RegIdx column of the batch's first n lanes, once.
 func (b *bstate) fillIdx(n int) {
-	if b.idxFilled {
+	if b.ri[kernel.RegIdx] != nil {
 		return
 	}
-	idxc := b.ri[kernel.RegIdx][:n]
+	idxc := b.idx[:n]
 	for i := range idxc {
 		idxc[i] = int64(b.base + i)
 	}
-	b.idxFilled = true
+	b.ri[kernel.RegIdx] = b.idx
 }
 
 // dense reports whether the batch's index column a of register ar holds
@@ -676,6 +678,7 @@ func (w *worker) attachBatch(bp *batchProg) {
 		clear(sc.blvl[:wd])
 	}
 	w.bst = bstate{ri: sc.bri[:nregs], rf: sc.brf[:nregs], selBuf: sc.bsel[:0], lvl: sc.blvl[:cap(sc.blvl)], item: -1}
+	w.bst.idx, w.bst.ri[kernel.RegIdx] = w.bst.ri[kernel.RegIdx], nil
 	if pp := bp.post; pp != nil {
 		pri, prf := sc.bri[nregs:], sc.brf[nregs:]
 		wire(pri, prf, pp.colI, pp.colF, ints[bp.nColI*wd:], flts[bp.nColF*wd:], pw)
@@ -803,7 +806,7 @@ func (w *worker) runBatch(lo, hi int) error {
 func (w *worker) runLanes(base, n int) error {
 	bp := w.batch
 	b := &w.bst
-	b.base, b.idxFilled = base, false
+	b.base, b.ri[kernel.RegIdx] = base, nil
 	if bp.readsIdx {
 		b.fillIdx(n)
 	}
